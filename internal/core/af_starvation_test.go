@@ -20,25 +20,22 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// stagedAF wires an A_f instance under a Controlled scheduler. Reader
+// stagedAF wires an A_f instance for step-by-step driving. Reader
 // programs carry two barriers per passage: one before the entry section
 // (start barrier) and one inside the CS, giving the driver exact control
 // over passage phases. Writers carry a start barrier and an in-CS barrier.
 type stagedAF struct {
-	t    *testing.T
-	r    *sim.Runner
-	ctrl *sched.Controlled
-	alg  *AF
+	t   *testing.T
+	r   *sim.Runner
+	alg *AF
 }
 
 func newStagedAF(t *testing.T, f F, nReaders, readerPassages, nWriters int) *stagedAF {
 	t.Helper()
-	ctrl := &sched.Controlled{}
-	r := sim.New(sim.Config{Scheduler: ctrl})
+	r := sim.New(sim.Config{})
 	alg := New(f)
 	if err := alg.Init(r, nReaders, nWriters); err != nil {
 		t.Fatalf("Init: %v", err)
@@ -75,7 +72,7 @@ func newStagedAF(t *testing.T, f F, nReaders, readerPassages, nWriters int) *sta
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(r.Close)
-	return &stagedAF{t: t, r: r, ctrl: ctrl, alg: alg}
+	return &stagedAF{t: t, r: r, alg: alg}
 }
 
 func (s *stagedAF) at(id int, where func() []int) bool {
@@ -87,15 +84,12 @@ func (s *stagedAF) at(id int, where func() []int) bool {
 	return false
 }
 
-func (s *stagedAF) atBarrier(id int) bool  { return s.at(id, s.r.AtBarrier) }
 func (s *stagedAF) isAwaiting(id int) bool { return s.at(id, s.r.Awaiting) }
 
 func (s *stagedAF) step(id int) {
 	s.t.Helper()
-	s.ctrl.Target = id
-	progressed, err := s.r.Step()
-	if err != nil || !progressed {
-		s.t.Fatalf("step p%d: progressed=%v err=%v", id, progressed, err)
+	if err := s.r.StepProc(id); err != nil {
+		s.t.Fatalf("step p%d: %v", id, err)
 	}
 }
 
@@ -109,7 +103,7 @@ func (s *stagedAF) release(id int) {
 // driveToBarrier runs id solo until it parks at its next barrier.
 func (s *stagedAF) driveToBarrier(id int, what string) {
 	s.t.Helper()
-	for i := 0; !s.atBarrier(id); i++ {
+	for i := 0; !s.r.IsAtBarrier(id); i++ {
 		if i > 100_000 {
 			s.t.Fatalf("p%d never reached barrier (%s)", id, what)
 		}
@@ -146,7 +140,7 @@ func (s *stagedAF) finishPassage(id int) {
 	s.t.Helper()
 	s.release(id)
 	for i := 0; i < 100_000; i++ {
-		if s.atBarrier(id) {
+		if s.r.IsAtBarrier(id) {
 			return // next passage's start barrier
 		}
 		if _, poised := s.r.PendingOf(id); !poised {

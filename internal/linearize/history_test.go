@@ -129,10 +129,8 @@ func TestCASWordLinearizable(t *testing.T) {
 // precise sense in which the cell-array ablation is weaker than the
 // paper's f-array (whose single-root reads are atomic).
 func TestCellArrayScanAnomaly(t *testing.T) {
-	ctrl := &sched.Controlled{}
 	var clock atomic.Int64
 	r := sim.New(sim.Config{
-		Scheduler: ctrl,
 		Observer: func(e trace.Event) {
 			if !e.SectionChange {
 				clock.Add(1)
@@ -170,8 +168,7 @@ func TestCellArrayScanAnomaly(t *testing.T) {
 
 	step := func(id int) {
 		t.Helper()
-		ctrl.Target = id
-		if ok, err := r.Step(); err != nil || !ok {
+		if err := r.StepProc(id); err != nil {
 			t.Fatalf("step p%d: %v", id, err)
 		}
 	}

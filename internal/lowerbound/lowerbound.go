@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/awareness"
 	"repro/internal/memmodel"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -92,11 +91,10 @@ func Log3Bound(n, f int) float64 {
 
 // driver holds the staged execution state.
 type driver struct {
-	r    *sim.Runner
-	ctrl *sched.Controlled
-	tr   *awareness.Tracker
-	n    int
-	cfg  Config
+	r   *sim.Runner
+	tr  *awareness.Tracker
+	n   int
+	cfg Config
 }
 
 // Run constructs the Theorem-5 execution for alg with n readers and one
@@ -117,11 +115,11 @@ func Run(alg memmodel.Algorithm, n int, cfg Config) (*Result, error) {
 		cfg.IterationCap = 8*int(math.Log2(float64(n)+1)) + 64
 	}
 
-	d := &driver{ctrl: &sched.Controlled{}, n: n, cfg: cfg}
+	// Every step is dictated through StepProc, so no scheduler is needed.
+	d := &driver{n: n, cfg: cfg}
 	d.r = sim.New(sim.Config{
-		Protocol:  cfg.Protocol,
-		Scheduler: d.ctrl,
-		MaxSteps:  cfg.StepBudget,
+		Protocol: cfg.Protocol,
+		MaxSteps: cfg.StepBudget,
 		Observer: func(e trace.Event) {
 			if d.tr != nil {
 				d.tr.Observe(e)
@@ -193,7 +191,7 @@ func Run(alg memmodel.Algorithm, n int, cfg Config) (*Result, error) {
 					if !poised || d.tr.IsExpanding(op) {
 						break
 					}
-					if err := d.step(rid); err != nil {
+					if err := d.r.StepProc(rid); err != nil {
 						return nil, fmt.Errorf("lowerbound: E2 drain reader %d: %w", rid, err)
 					}
 					progressed = true
@@ -219,7 +217,7 @@ func Run(alg memmodel.Algorithm, n int, cfg Config) (*Result, error) {
 			if _, poised := d.r.PendingOf(rid); !poised {
 				continue
 			}
-			if err := d.step(rid); err != nil {
+			if err := d.r.StepProc(rid); err != nil {
 				return nil, fmt.Errorf("lowerbound: E2 batch reader %d: %w", rid, err)
 			}
 		}
@@ -272,34 +270,17 @@ func Run(alg memmodel.Algorithm, n int, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// step executes one step of process id.
-func (d *driver) step(id int) error {
-	d.ctrl.Target = id
-	progressed, err := d.r.Step()
-	if err != nil {
-		return err
-	}
-	if !progressed {
-		return fmt.Errorf("process %d cannot step", id)
-	}
-	return nil
-}
-
 // driveToBarrier runs process id solo until it parks at its barrier.
 func (d *driver) driveToBarrier(id int) error {
-	for {
-		for _, b := range d.r.AtBarrier() {
-			if b == id {
-				return nil
-			}
-		}
+	for !d.r.IsAtBarrier(id) {
 		if _, poised := d.r.PendingOf(id); !poised {
 			return fmt.Errorf("process %d blocked before reaching its barrier (awaiting: %v)", id, d.r.Awaiting())
 		}
-		if err := d.step(id); err != nil {
+		if err := d.r.StepProc(id); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // allReadersDone reports whether every reader finished its passage.

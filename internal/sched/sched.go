@@ -82,28 +82,6 @@ func (r *RoundRobin) Next(_ int, poised []int) int {
 	return poised[0]
 }
 
-// Controlled is driven from outside the simulator: the owner sets Target
-// before every Step call. Staged drivers (the Theorem-5 adversary, the
-// HelpWCS regression test) use it to dictate exact interleavings. Next
-// panics if the target is not poised, which always indicates a staging bug.
-type Controlled struct {
-	// Target is the process that must take the next step.
-	Target int
-}
-
-// Name implements Scheduler.
-func (c *Controlled) Name() string { return "controlled" }
-
-// Next implements Scheduler.
-func (c *Controlled) Next(_ int, poised []int) int {
-	for _, p := range poised {
-		if p == c.Target {
-			return p
-		}
-	}
-	panic("sched: Controlled target not poised")
-}
-
 // Random picks uniformly among poised processes using a seeded source, so
 // executions are reproducible per seed. Used by the spec harness to explore
 // interleavings.

@@ -1,33 +1,78 @@
 package sim
 
-import "repro/internal/memmodel"
+import (
+	"iter"
 
-// simProc is the memmodel.Proc / sim.Proc implementation handed to each
-// simulated process goroutine. Every operation is a rendezvous with the
-// runner: send the request, block until the runner schedules and applies
-// it, receive the response.
+	"repro/internal/memmodel"
+)
+
+// simProc is a pooled process coroutine and the memmodel.Proc / sim.Proc
+// handle of the program it runs. The coroutine is an iter.Pull sequence:
+// every operation of the program yields its request, which suspends the
+// program and switches control straight back to the runner; the runner
+// applies the operation, stores the response in resp and resumes the
+// program with next. Runner and program never run at the same time, so
+// no channel, lock or select sits on the step path.
+//
+// A simProc outlives the programs it runs. When a program returns, the
+// coroutine parks at a done request and the runner pools it for the next
+// process it launches (see Runner.Reset).
 type simProc struct {
-	r  *Runner
+	r     *Runner
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
+	// ps is the process whose program the coroutine is running; nil while
+	// the coroutine is idle in the runner's pool.
 	ps *procState
+	// resp is the runner's reply to the request last yielded.
+	resp response
 }
 
 var _ Proc = (*simProc)(nil)
 
-// call performs the request/response rendezvous. If the runner is closed
-// it panics with errAborted, which the process goroutine's deferred
-// recover treats as a clean shutdown.
+// newSimProc creates an idle coroutine owned by r.
+func newSimProc(r *Runner) *simProc {
+	p := &simProc{r: r}
+	p.next, p.stop = iter.Pull(p.loop)
+	return p
+}
+
+// loop is the coroutine body: run the assigned program, then park at a
+// done request until the runner resumes the coroutine with a new one. It
+// returns only when stop ends the coroutine.
+func (p *simProc) loop(yield func(request) bool) {
+	p.yield = yield
+	for {
+		p.run()
+		if !yield(request{done: true}) {
+			return
+		}
+	}
+}
+
+// run executes the assigned program. An errAborted unwind ends the
+// program like a normal return; any other panic propagates through next
+// to the driver and kills the coroutine, which is then never pooled.
+func (p *simProc) run() {
+	defer func() {
+		if v := recover(); v != nil && v != errAborted { //nolint:errorlint // sentinel identity
+			panic(v)
+		}
+	}()
+	p.ps.prog(p)
+}
+
+// call yields rq to the runner and returns its response. It panics with
+// errAborted, which run recovers, when the runner unwinds the program:
+// either stop ended the coroutine (yield reports false) or Reset resumed
+// it with the aborting flag set. Checking the flag before yielding too
+// keeps a deferred operation in an unwinding program from yielding.
 func (p *simProc) call(rq request) response {
-	select {
-	case p.ps.req <- rq:
-	case <-p.r.quit:
+	if p.r.aborting || !p.yield(rq) || p.r.aborting {
 		panic(errAborted)
 	}
-	select {
-	case resp := <-p.ps.resp:
-		return resp
-	case <-p.r.quit:
-		panic(errAborted)
-	}
+	return p.resp
 }
 
 // ID implements memmodel.Proc.

@@ -9,15 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// spinPair is a tiny two-process workload exercising every operation kind:
-// writes, reads, CAS, fetch-add, a single-variable await (spin) and a
-// multi-variable await. It returns a full fingerprint of the execution so
-// two runs can be compared byte-for-byte.
-func spinPair(t *testing.T, r *Runner) string {
+// spinPairStart registers a tiny two-process workload on r exercising
+// every operation kind — writes, reads, CAS, fetch-add, a single-variable
+// await (spin) and a multi-variable await — and starts it. The returned
+// slice collects the execution's trace for fingerprint.
+func spinPairStart(t *testing.T, r *Runner) *[]string {
 	t.Helper()
-	var events []string
+	events := new([]string)
 	r.cfg.Observer = func(e trace.Event) {
-		events = append(events, fmt.Sprintf("%d p%d %v %s %d->%d rmr=%v",
+		*events = append(*events, fmt.Sprintf("%d p%d %v %s %d->%d rmr=%v",
 			e.Step, e.Proc, e.Kind, e.Section, e.Before, e.After, e.RMR))
 	}
 	flag := r.Alloc("flag", 0)
@@ -41,9 +41,12 @@ func spinPair(t *testing.T, r *Runner) string {
 	if err := r.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if err := r.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	return events
+}
+
+// fingerprint renders an execution — steps, per-process accounts and the
+// trace — so two runs can be compared byte-for-byte.
+func fingerprint(r *Runner, events []string) string {
 	fp := fmt.Sprintf("steps=%d", r.StepCount())
 	for id := 0; id < r.NumProcs(); id++ {
 		a := r.Account(id)
@@ -55,10 +58,70 @@ func spinPair(t *testing.T, r *Runner) string {
 	return fp
 }
 
+// spinPair runs the spinPairStart workload to completion and returns its
+// fingerprint.
+func spinPair(t *testing.T, r *Runner) string {
+	t.Helper()
+	events := spinPairStart(t, r)
+	if err := r.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return fingerprint(r, *events)
+}
+
+// stepN takes n scheduled steps, failing the test if any errors.
+func stepN(t *testing.T, r *Runner, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := r.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+}
+
 // TestResetMatchesFreshRunner pins the Reset contract: an execution on a
 // reused (Reset) runner is byte-identical — same trace, steps, RMRs — to
-// the same execution on a freshly constructed runner, for every protocol.
+// the same execution on a freshly constructed runner, for every protocol,
+// whatever the previous execution left behind: a completed run, programs
+// aborted mid-operation (one with a deferred operation of its own), or
+// crashed incarnations kept from Restart. Reset
+// unwinds those programs and pools their coroutines, so the measured
+// execution creates no coroutine of its own.
 func TestResetMatchesFreshRunner(t *testing.T) {
+	previous := []struct {
+		name string
+		run  func(t *testing.T, r *Runner)
+	}{
+		{"completed", func(t *testing.T, r *Runner) { spinPair(t, r) }},
+		{"aborted mid-program", func(t *testing.T, r *Runner) {
+			spinPairStart(t, r)
+			stepN(t, r, 3)
+		}},
+		{"aborted inside a deferred operation", func(t *testing.T, r *Runner) {
+			v := r.Alloc("v", 0)
+			r.AddProc(func(p Proc) {
+				defer p.Write(v, 2) // must not run as a step when Reset unwinds
+				p.Await(v, func(x uint64) bool { return x == 1 })
+			})
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, r, 1)
+		}},
+		{"crash and restart", func(t *testing.T, r *Runner) {
+			spinPairStart(t, r)
+			stepN(t, r, 2)
+			if err := r.Crash(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Restart(1, func(p Proc) { p.Barrier() }); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Crash(0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
 	for _, proto := range []Protocol{WriteThrough, WriteBack, DSM} {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := Config{Protocol: proto, Scheduler: sched.NewRoundRobin()}
@@ -68,10 +131,20 @@ func TestResetMatchesFreshRunner(t *testing.T) {
 
 			reused := New(cfg)
 			defer reused.Close()
-			for i := 0; i < 3; i++ {
+			for _, prev := range previous {
 				reused.Reset(Config{Protocol: proto, Scheduler: sched.NewRoundRobin()})
+				prev.run(t, reused)
+				reused.Reset(Config{Protocol: proto, Scheduler: sched.NewRoundRobin()})
+				pooled := len(reused.coros)
+				if len(reused.idle) != pooled {
+					t.Fatalf("after %s: %d of %d coroutines idle after Reset", prev.name, len(reused.idle), pooled)
+				}
 				if got := spinPair(t, reused); got != want {
-					t.Fatalf("Reset run %d diverged:\n got: %s\nwant: %s", i, got, want)
+					t.Fatalf("Reset after %s diverged:\n got: %s\nwant: %s", prev.name, got, want)
+				}
+				if len(reused.coros) != pooled {
+					t.Errorf("after %s: the execution grew the pool from %d to %d coroutines; pooled ones must be reused",
+						prev.name, pooled, len(reused.coros))
 				}
 			}
 		})

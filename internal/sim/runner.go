@@ -5,12 +5,15 @@
 // remote memory references exactly as the write-through or write-back CC
 // model prescribes.
 //
-// Each simulated process runs as a goroutine that blocks before every
-// shared-memory operation; a single runner goroutine owns all memory and
-// coherence state, asks the scheduler which poised process steps next,
-// applies the operation, and resumes that process. Executions are therefore
-// data-race-free by construction and exactly reproducible for a given
-// scheduler.
+// Each simulated process runs as a coroutine (iter.Pull) that yields to
+// the runner before every shared-memory operation. The runner, on the
+// driver's goroutine, owns all memory and coherence state, asks the
+// scheduler which poised process steps next, applies the operation, and
+// switches back into that process's coroutine. Only one side runs at a
+// time, so executions are data-race-free by construction and exactly
+// reproducible for a given scheduler. Coroutines are pooled per Runner and
+// reused across Reset, so a sweep of short executions creates each one
+// once.
 //
 // Busy-wait loops are modeled by Await/AwaitMulti: a spinning process holds
 // valid cached copies of its spin variables and is not schedulable until
@@ -22,10 +25,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/memmodel"
 	"repro/internal/sched"
@@ -47,8 +50,9 @@ var ErrNoProgress = errors.New("sim: no progress (deadlock): no live process has
 // under test.
 var ErrMaxSteps = errors.New("sim: step budget exceeded")
 
-// errAborted terminates process goroutines when the runner is closed.
-var errAborted = errors.New("sim: runner closed")
+// errAborted unwinds a process's program when the runner is reset or
+// closed mid-execution.
+var errAborted = errors.New("sim: program aborted")
 
 // Proc is the process handle visible to simulated programs. It extends the
 // model interface with Barrier, a scheduling-only pause (not a memory step,
@@ -86,11 +90,13 @@ const (
 	statusCrashed // crash-stopped by the driver; takes no further steps
 )
 
-// request is one message from a process goroutine to the runner.
+// request is one operation a process coroutine yields to the runner.
 type request struct {
-	kind    memmodel.OpKind // zero for section/barrier pseudo-requests
+	kind    memmodel.OpKind // zero for section/barrier/done pseudo-requests
 	section memmodel.Section
 	barrier bool
+	// done reports that the program returned; its coroutine is now idle.
+	done bool
 
 	v memmodel.Var
 	// vars lists a multi-await's spin variables (mpred != nil). Every
@@ -114,10 +120,10 @@ type procState struct {
 	id          int
 	incarnation int
 	prog        Program
-	req         chan request
-	resp        chan response
-	status      procStatus
-	pending     request
+	// co is the coroutine running prog; nil once the program returned.
+	co      *simProc
+	status  procStatus
+	pending request
 
 	// stalled marks a process paused by fault injection (fail-slow model).
 	// It is orthogonal to status: the process keeps its pending operation
@@ -148,13 +154,18 @@ type Runner struct {
 	steps    int
 	nDone    int
 	nCrashed int
+	// nStalled counts the processes whose stalled flag is set, so the
+	// per-step stall expiry scan runs only while a stall is in force.
+	nStalled int
 
-	quit chan struct{}
-	// closed guards against double-closing quit. A plain bool suffices —
-	// all Runner methods are confined to the single driver goroutine — and
-	// unlike sync.Once it can be rearmed by Reset.
-	closed bool
-	wg     sync.WaitGroup
+	// coros holds every live coroutine this runner created; idle is the
+	// subset parked between programs, ready for the next launch. A
+	// coroutine with a non-nil ps is running (or parked inside) a program.
+	coros []*simProc
+	idle  []*simProc
+	// aborting makes every Proc operation panic with errAborted; Reset
+	// sets it while it unwinds the programs still in progress.
+	aborting bool
 
 	// scratch buffers reused across steps
 	poisedIDs []int
@@ -173,7 +184,7 @@ func New(cfg Config) *Runner {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 5_000_000
 	}
-	return &Runner{cfg: cfg, quit: make(chan struct{})}
+	return &Runner{cfg: cfg}
 }
 
 // Alloc implements memmodel.Allocator. The variable is homed in global
@@ -212,12 +223,7 @@ func (r *Runner) AddProc(prog Program) int {
 		panic("sim: AddProc after Start")
 	}
 	id := len(r.procs)
-	r.procs = append(r.procs, &procState{
-		id:   id,
-		prog: prog,
-		req:  make(chan request),
-		resp: make(chan response),
-	})
+	r.procs = append(r.procs, &procState{id: id, prog: prog})
 	r.accts = append(r.accts, newAccount(id, 0))
 	return id
 }
@@ -260,7 +266,7 @@ func (r *Runner) Incarnation(id int) int { return r.procs[id].incarnation }
 // Protocol returns the coherence protocol in effect.
 func (r *Runner) Protocol() Protocol { return r.cfg.Protocol }
 
-// Start launches all process goroutines and settles each at its first
+// Start launches all process coroutines and settles each at its first
 // operation. It must be called exactly once, after allocation and AddProc.
 func (r *Runner) Start() error {
 	if r.started {
@@ -283,54 +289,75 @@ func (r *Runner) Start() error {
 	for _, ps := range r.procs {
 		r.launch(ps)
 	}
-	for _, ps := range r.procs {
-		r.settle(ps)
-	}
 	return nil
 }
 
-// launch starts the goroutine running ps's program.
+// launch hands ps's program to an idle coroutine (a new one if the pool is
+// empty) and settles it at its first operation.
 func (r *Runner) launch(ps *procState) {
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer close(ps.req)
-		defer func() {
-			if v := recover(); v != nil && v != errAborted { //nolint:errorlint // sentinel identity
-				panic(v)
-			}
-		}()
-		ps.prog(&simProc{r: r, ps: ps})
-	}()
+	var c *simProc
+	if n := len(r.idle); n > 0 {
+		c = r.idle[n-1]
+		r.idle = r.idle[:n-1]
+	} else {
+		c = newSimProc(r)
+		r.coros = append(r.coros, c)
+	}
+	c.ps = ps
+	ps.co = c
+	r.settle(ps)
 }
 
-// Close aborts any still-running process goroutines and waits for them to
-// exit. It is safe to call multiple times and after normal completion.
+// Close ends every coroutine the runner holds, unwinding any program still
+// in progress, and empties the pool. It is safe to call multiple times and
+// after normal completion.
 func (r *Runner) Close() {
-	if !r.closed {
-		r.closed = true
-		close(r.quit)
+	for _, c := range r.coros {
+		c.stop()
 	}
-	r.wg.Wait()
+	clear(r.coros)
+	r.coros = r.coros[:0]
+	r.idle = r.idle[:0]
+}
+
+// unwind aborts every program still in progress — processes parked at an
+// operation or a barrier, crashed ones, and crashed incarnations replaced
+// by Restart — and returns their coroutines to the pool. A coroutine whose
+// next no longer reports ok (its program panicked) keeps its ps and is
+// dropped, never pooled.
+func (r *Runner) unwind() {
+	r.aborting = true
+	for _, c := range r.coros {
+		if c.ps != nil {
+			if _, ok := c.next(); ok {
+				c.ps = nil
+			}
+		}
+	}
+	r.aborting = false
+	r.coros = slices.DeleteFunc(r.coros, func(c *simProc) bool { return c.ps != nil })
+	r.idle = append(r.idle[:0], r.coros...)
 }
 
 // Reset returns the Runner to the freshly-constructed state of New(cfg),
 // reusing the memory, name, home, process, account-slice, coherence and
-// scheduler-scratch buffers of the previous execution. It first Closes the
-// current execution (aborting any still-running process goroutines), so a
-// sweep can run thousands of short executions on one Runner without
-// re-paying their dominant allocations.
+// scheduler-scratch buffers and the process coroutines of the previous
+// execution. It first unwinds every program still in progress (including
+// crashed incarnations kept from Restart) and returns its coroutine to the
+// pool, so a sweep can run thousands of short executions on one Runner
+// without re-paying their dominant allocations.
 //
 // What Reset may reuse: every buffer whose contents are fully rebuilt by
 // the next setup phase (Alloc/AddProc/Start) — the shared-memory array,
 // variable names and homes, the coherence sharer/owner words, the procs
-// and accts slices, and the poised/await scratch. What it must NOT reuse:
-// Account objects and procState channels, which escape into Reports and
-// into process goroutines of the previous execution; those are always
-// allocated fresh. Like every Runner method it must be called from the
-// single driver goroutine.
+// and accts slices, the poised/await scratch — and every coroutine whose
+// next still reports ok. What it must NOT reuse: Account objects, which
+// escape into Reports, and procState records, which the previous
+// execution's accessors may still reach; those are always allocated
+// fresh. Like every Runner method it must be called from the single
+// driver goroutine.
 func (r *Runner) Reset(cfg Config) {
-	r.Close()
+	r.unwind()
 	if cfg.Protocol == 0 {
 		cfg.Protocol = WriteThrough
 	}
@@ -350,19 +377,25 @@ func (r *Runner) Reset(cfg Config) {
 	r.steps = 0
 	r.nDone = 0
 	r.nCrashed = 0
-	r.quit = make(chan struct{})
-	r.closed = false
-	// r.wg is reusable as-is: Close waited for every previous goroutine,
-	// so its counter is back to zero. r.coh and r.acctHist are re-prepared
-	// by Start, which knows the new process/variable counts.
+	r.nStalled = 0
+	// r.coh and r.acctHist are re-prepared by Start, which knows the new
+	// process/variable counts.
 }
 
-// settle advances process ps until it is poised at a shared-memory op,
-// blocked at a barrier, or done, processing section transitions inline.
+// settle resumes process ps's coroutine until it is poised at a
+// shared-memory op, blocked at a barrier, or done, processing section
+// transitions inline. A finished program's coroutine returns to the pool;
+// one that no longer reports ok (ended by Close) counts as done too.
 func (r *Runner) settle(ps *procState) {
+	c := ps.co
 	for {
-		rq, ok := <-ps.req
-		if !ok {
+		rq, ok := c.next()
+		if !ok || rq.done {
+			if ok {
+				c.ps = nil
+				r.idle = append(r.idle, c)
+			}
+			ps.co = nil
 			if ps.status != statusDone {
 				ps.status = statusDone
 				r.nDone++
@@ -379,11 +412,6 @@ func (r *Runner) settle(ps *procState) {
 				Section:       rq.section,
 				SectionChange: true,
 			})
-			select {
-			case ps.resp <- response{}:
-			case <-r.quit:
-				return
-			}
 		case rq.barrier:
 			ps.status = statusBarrier
 			return
@@ -422,7 +450,10 @@ func (r *Runner) Crash(id int) error {
 		return fmt.Errorf("sim: Crash(%d): process already crashed", id)
 	}
 	ps.status = statusCrashed
-	ps.stalled = false // a crash supersedes any injected stall
+	if ps.stalled { // a crash supersedes any injected stall
+		ps.stalled = false
+		r.nStalled--
+	}
 	r.nCrashed++
 	return nil
 }
@@ -435,10 +466,10 @@ func (r *Runner) Crash(id int) error {
 // variable is a miss, exactly as the crash-recovery model prescribes for a
 // process whose local state was lost.
 //
-// The dead incarnation's goroutine stays parked at its interrupted
-// operation until Close; it takes no further steps and its program's
-// remaining effects never happen. Restarting a process that is alive or
-// finished is an error.
+// The dead incarnation's coroutine stays parked at its interrupted
+// operation until Reset or Close unwinds it; it takes no further steps and
+// its program's remaining effects never happen. Restarting a process that
+// is alive or finished is an error.
 //
 // A pending restart is progress potential: after Step returns a
 // *NoProgressError (the watchdog's wedge verdict), the runner remains
@@ -456,20 +487,13 @@ func (r *Runner) Restart(id int, prog Program) error {
 	if old.status != statusCrashed {
 		return fmt.Errorf("sim: Restart(%d): process is not crashed", id)
 	}
-	ps := &procState{
-		id:          id,
-		incarnation: old.incarnation + 1,
-		prog:        prog,
-		req:         make(chan request),
-		resp:        make(chan response),
-	}
+	ps := &procState{id: id, incarnation: old.incarnation + 1, prog: prog}
 	r.procs[id] = ps
 	r.acctHist[id] = append(r.acctHist[id], r.accts[id])
 	r.accts[id] = newAccount(id, ps.incarnation)
 	r.coh.restart(id)
 	r.nCrashed--
 	r.launch(ps)
-	r.settle(ps)
 	return nil
 }
 
@@ -499,6 +523,7 @@ func (r *Runner) Stall(id, duration int) error {
 		return fmt.Errorf("sim: Stall(%d): process already stalled", id)
 	}
 	ps.stalled = true
+	r.nStalled++
 	ps.stalledAt = r.steps
 	if duration < 0 {
 		ps.stallUntil = -1
@@ -518,6 +543,7 @@ func (r *Runner) Resume(id int) error {
 		return fmt.Errorf("sim: Resume(%d): process is not stalled", id)
 	}
 	ps.stalled = false
+	r.nStalled--
 	return nil
 }
 
@@ -547,11 +573,16 @@ func (r *Runner) Stalled() []StalledProc {
 	return out
 }
 
-// expireStalls clears finite stalls whose deadline has passed.
+// expireStalls clears finite stalls whose deadline has passed. It costs
+// nothing while no process is stalled.
 func (r *Runner) expireStalls() {
+	if r.nStalled == 0 {
+		return
+	}
 	for _, ps := range r.procs {
 		if ps.stalled && ps.stallUntil >= 0 && ps.stallUntil <= r.steps {
 			ps.stalled = false
+			r.nStalled--
 		}
 	}
 }
@@ -574,6 +605,7 @@ func (r *Runner) fastForwardStalls() bool {
 	for _, ps := range r.procs {
 		if ps.stalled && ps.stallUntil == earliest {
 			ps.stalled = false
+			r.nStalled--
 		}
 	}
 	return true
@@ -657,6 +689,7 @@ func (r *Runner) Awaiting() []int {
 }
 
 // AtBarrier returns the ids of processes currently blocked at a Barrier.
+// Staged drivers that track one process use IsAtBarrier instead.
 func (r *Runner) AtBarrier() []int {
 	var out []int
 	for _, ps := range r.procs {
@@ -667,6 +700,9 @@ func (r *Runner) AtBarrier() []int {
 	return out
 }
 
+// IsAtBarrier reports whether process id is blocked at a Barrier.
+func (r *Runner) IsAtBarrier(id int) bool { return r.procs[id].status == statusBarrier }
+
 // ReleaseBarrier resumes a process blocked at a Barrier and settles it at
 // its next operation.
 func (r *Runner) ReleaseBarrier(id int) error {
@@ -676,11 +712,6 @@ func (r *Runner) ReleaseBarrier(id int) error {
 	ps := r.procs[id]
 	if ps.status != statusBarrier {
 		return fmt.Errorf("sim: process %d is not at a barrier", id)
-	}
-	select {
-	case ps.resp <- response{}:
-	case <-r.quit:
-		return errAborted
 	}
 	r.settle(ps)
 	return nil
@@ -744,6 +775,30 @@ func (r *Runner) Step() (progressed bool, err error) {
 	}
 	r.execute(ps)
 	return true, nil
+}
+
+// StepProc executes one step of process id: Step with the scheduler's pick
+// fixed to id. It applies Step's checks — started, step budget, stall
+// expiry — and fails without stepping when id is not poised (awaiting, at
+// a barrier, stalled, done or crashed). It runs in O(1), without building
+// the poised set. Staged drivers use it to dictate exact interleavings.
+func (r *Runner) StepProc(id int) error {
+	if !r.started {
+		return errors.New("sim: StepProc before Start")
+	}
+	if id < 0 || id >= len(r.procs) {
+		return fmt.Errorf("sim: StepProc(%d): no such process", id)
+	}
+	if r.steps >= r.cfg.MaxSteps {
+		return fmt.Errorf("%w (%d)", ErrMaxSteps, r.cfg.MaxSteps)
+	}
+	r.expireStalls()
+	ps := r.procs[id]
+	if ps.status != statusPoised || ps.stalled {
+		return fmt.Errorf("sim: StepProc(%d): process is not poised", id)
+	}
+	r.execute(ps)
+	return nil
 }
 
 // Run executes steps until all processes complete. It returns an error on
@@ -922,11 +977,7 @@ func (r *Runner) emit(e trace.Event) {
 
 // reply completes ps's pending operation and settles it at its next one.
 func (r *Runner) reply(ps *procState, resp response) {
-	select {
-	case ps.resp <- resp:
-	case <-r.quit:
-		return
-	}
+	ps.co.resp = resp
 	r.settle(ps)
 }
 

@@ -73,8 +73,8 @@ func probeAbort(newAlg func() memmodel.Algorithm, n int, tryIsWriter bool) (rmr 
 		return 0, false, fmt.Errorf("abort probe: init %s: %w", ta.Name(), err)
 	}
 
-	// Process goroutines only run while the driver steps them, so these
-	// flags are synchronized by the runner's rendezvous channels.
+	// Process coroutines only run while the driver steps them, and the
+	// runner switches to them directly, so these flags need no locking.
 	var entered bool
 	tryReader := func(p sim.Proc) {
 		p.Barrier() // wait until the holder is inside the CS

@@ -198,7 +198,7 @@ func sweepWorkers(sc Scenario) int {
 
 // runnerCache lends one sim.Runner out to consecutive executions on the
 // same goroutine: the first get constructs it, later gets Reset it,
-// reusing the simulator's memory/coherence/account buffers. Each sweep
+// reusing the simulator's buffers and pooled process coroutines. Each sweep
 // worker owns one cache (parwork.DoScoped), so runners are never shared.
 type runnerCache struct{ r *sim.Runner }
 
