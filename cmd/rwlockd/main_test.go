@@ -92,12 +92,21 @@ func TestDrainRefusesNewAcquires(t *testing.T) {
 	}
 
 	sig <- syscall.SIGTERM
-	// The drain refuses new acquires while it waits for the holder.
+	// The drain refuses new acquires while it waits for the holder. The
+	// signal is handled asynchronously, so an attempt that lands before
+	// the drain starts is granted; give that hold back, or the drain
+	// would wait on it and report it leaked.
 	var acqErr error
 	for i := 0; i < 50; i++ {
-		_, acqErr = c.TryAcquire(ctx, "late", lockd.ModeRead)
+		var late *lockd.Hold
+		late, acqErr = c.TryAcquire(ctx, "late", lockd.ModeRead)
 		if errors.Is(acqErr, lockd.ErrDraining) {
 			break
+		}
+		if acqErr == nil {
+			if err := late.Release(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

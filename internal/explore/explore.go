@@ -190,10 +190,10 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 	return res, nil
 }
 
-// exploreSubtrees fans the root subtrees out across the worker pool. With
-// no robust options in play (spec.EffectiveRobust over the scenario) it is
-// a plain parwork.Do; with options active the subtrees run through the
-// checkpointed path, so an interrupted exploration resumes its unfinished
+// exploreSubtrees fans the root subtrees out across the worker pool
+// through parwork.DoRobust, under the robust options spec.EffectiveRobust
+// resolves for the scenario (zero options when none are set). With a
+// checkpoint store an interrupted exploration resumes its unfinished
 // subtrees instead of restarting. KeepGoing is never honored here: the
 // canonical merge needs every subtree's real result, so row-failure
 // isolation would only corrupt the budget accounting. Result round-trips
@@ -206,10 +206,6 @@ func Algorithm(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config) (
 // worker stuck under the heavy one.
 func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Config, workers, roots int) ([]*Result, error) {
 	ro := spec.EffectiveRobust(sc)
-	job := func(k int) *Result { return exploreSubtree(newAlg, sc, k, cfg.MaxRuns) }
-	if ro == nil || (ro.Store == nil && ro.RowTimeout <= 0 && ro.Stop == nil && ro.AfterRow == nil) {
-		return parwork.Do(workers, roots, job), nil
-	}
 	opt := parwork.Options{
 		Workers:    workers,
 		RowTimeout: ro.RowTimeout,
@@ -230,7 +226,7 @@ func exploreSubtrees(newAlg func() memmodel.Algorithm, sc spec.Scenario, cfg Con
 	}
 	outs, _, err := parwork.DoRobust(opt, roots, parwork.JSONCodec[*Result](),
 		func() struct{} { return struct{}{} }, func(struct{}) {},
-		func(_ struct{}, k int) *Result { return job(k) }, nil)
+		func(_ struct{}, k int) *Result { return exploreSubtree(newAlg, sc, k, cfg.MaxRuns) }, nil)
 	return outs, err
 }
 

@@ -124,36 +124,6 @@ func DoErrCost[T any](workers, n int, cost CostHint, job func(i int) (T, error))
 	return out, nil
 }
 
-// DoScoped is Do with per-worker scoped state: each worker calls enter
-// once before its first job and exit once after its last, letting jobs
-// reuse an expensive resource (typically a sim.Runner reset between
-// executions) without any cross-worker sharing. The serial path (one
-// worker) uses the same enter/job/exit sequence, so resource reuse is
-// exercised identically at every worker count.
-func DoScoped[S, T any](workers, n int, enter func() S, exit func(S), job func(s S, i int) T) []T {
-	return DoScopedCost(workers, n, nil, enter, exit, job)
-}
-
-// DoScopedCost is DoScoped with a CostHint (see DoCost).
-func DoScopedCost[S, T any](workers, n int, cost CostHint, enter func() S, exit func(S), job func(s S, i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	run(workers, n, cost, func(next func() (int, bool)) {
-		s := enter()
-		defer exit(s)
-		for {
-			i, ok := next()
-			if !ok {
-				return
-			}
-			out[i] = job(s, i)
-		}
-	})
-	return out
-}
-
 // run executes the worker-loop body on a bounded pool of Workers(workers)
 // goroutines (capped at n), one body invocation per worker. body draws job
 // indices from its worker's claim function until it is exhausted; with one

@@ -66,28 +66,6 @@ func TestDoErrRunsEveryJob(t *testing.T) {
 	}
 }
 
-func TestDoScopedReusesStatePerWorker(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		var entered, exited atomic.Int64
-		got := DoScoped(workers, 12,
-			func() *int { entered.Add(1); s := 0; return &s },
-			func(s *int) { exited.Add(1) },
-			func(s *int, i int) int { *s++; return i },
-		)
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("workers=%d: got[%d]=%d", workers, i, v)
-			}
-		}
-		if entered.Load() != exited.Load() {
-			t.Fatalf("workers=%d: enter/exit mismatch: %d vs %d", workers, entered.Load(), exited.Load())
-		}
-		if max := int64(workers); entered.Load() > max {
-			t.Fatalf("workers=%d: %d scopes entered, want <= %d", workers, entered.Load(), max)
-		}
-	}
-}
-
 func TestDoPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {

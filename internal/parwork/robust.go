@@ -1,16 +1,19 @@
 package parwork
 
-// This file is the robust execution mode of the sweep engine: DoRobust is
-// DoScoped plus the three behaviors long sweeps need to survive the real
-// world — durable progress (a Sink checkpoints each completed slot, and a
-// resumed run restores those slots instead of recomputing them), cooperative
+// This file is the sweep engine's scoped, robust fan-out. DoRobust gives
+// each worker one scope from enter to exit, so rows can reuse an expensive
+// resource (typically a sim.Runner reset between executions), and adds the
+// three behaviors long sweeps need to survive the real world — durable
+// progress (a Sink checkpoints each completed slot, and a resumed run
+// restores those slots instead of recomputing them), cooperative
 // cancellation (a Stopper makes workers stop claiming new rows and drain,
 // leaving a flushed checkpoint behind), and per-row failure isolation
 // (KeepGoing turns a panicking or wedged row into a typed RowFailure in the
-// report instead of aborting the sweep). The canonical index-slot merge is
-// unchanged: row i fills slot i whether it was computed now, computed by a
-// previous run and restored, or replaced by onFailure — so a resumed sweep
-// is byte-identical to an uninterrupted one.
+// report instead of aborting the sweep). With zero Options it is a plain
+// fail-fast fan-out. The canonical index-slot merge holds throughout: row
+// i fills slot i whether it was computed now, computed by a previous run
+// and restored, or replaced by onFailure — so a resumed sweep is
+// byte-identical to an uninterrupted one.
 
 import (
 	"encoding/json"
@@ -125,8 +128,8 @@ func (e *InterruptedError) Error() string {
 	return fmt.Sprintf("sweep interrupted: %d/%d rows complete", e.Done, e.Total)
 }
 
-// Options configures DoRobust. The zero value (plus a worker count) is
-// plain DoScoped behavior: no sink, no cancellation, fail-fast, no row
+// Options configures DoRobust. The zero value (plus a worker count) is a
+// plain scoped fan-out: no sink, no cancellation, fail-fast, no row
 // deadline.
 type Options struct {
 	// Workers is the pool size, Workers-normalized.
@@ -183,11 +186,14 @@ type Report struct {
 // Done is the number of rows with durable results.
 func (r *Report) Done() int { return r.Restored + r.Computed - len(r.Failures) }
 
-// DoRobust is DoScoped with restore/record, cancellation, per-row failure
-// isolation and a per-row deadline, per opt. Row i's result lands in slot i
-// of the returned slice regardless of which run computed it; for pure jobs
-// and faithful codecs the output is byte-identical across worker counts and
-// across interrupt/resume splits.
+// DoRobust runs job(s, i) for every row i in [0, n) across at most
+// opt.Workers goroutines (Workers-normalized), each holding one scope s
+// from enter to exit, with restore/record, cancellation, per-row failure
+// isolation and a per-row deadline per opt. With one worker the rows run
+// on the calling goroutine. Row i's result lands in slot i of the returned
+// slice regardless of which run computed it; for pure jobs and faithful
+// codecs the output is byte-identical across worker counts and across
+// interrupt/resume splits.
 //
 // onFailure supplies the slot value for a KeepGoing row failure (so the
 // caller can embed the RowFailure in its outcome type); it may be nil only

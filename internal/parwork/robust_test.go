@@ -68,6 +68,34 @@ func TestDoRobustPlain(t *testing.T) {
 	}
 }
 
+// TestDoRobustReusesStatePerWorker: with zero Options each worker enters
+// one scope before its first row and exits it after its last, so rows
+// reuse per-worker state, and results still land in slot order.
+func TestDoRobustReusesStatePerWorker(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var entered, exited atomic.Int64
+		got, _, err := DoRobust(Options{Workers: workers}, 12, JSONCodec[int](),
+			func() *int { entered.Add(1); s := 0; return &s },
+			func(s *int) { exited.Add(1) },
+			func(s *int, i int) int { *s++; return i },
+			nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: got[%d]=%d", workers, i, v)
+			}
+		}
+		if entered.Load() != exited.Load() {
+			t.Fatalf("workers=%d: enter/exit mismatch: %d vs %d", workers, entered.Load(), exited.Load())
+		}
+		if max := int64(workers); entered.Load() > max {
+			t.Fatalf("workers=%d: %d scopes entered, want <= %d", workers, entered.Load(), max)
+		}
+	}
+}
+
 func TestDoRobustRestoreSkipsCompletedRows(t *testing.T) {
 	sink := newMemSink()
 	for _, i := range []int{0, 3, 7} {

@@ -120,35 +120,10 @@ func runCrashOn(c *runnerCache, alg memmodel.Algorithm, sc Scenario, pt fault.Po
 // are called concurrently and must be safe for that (pure constructors
 // are).
 func CrashSweep(newAlg func() memmodel.Algorithm, sc Scenario, victim int, mkSched func() sched.Scheduler) ([]CrashOutcome, error) {
-	if mkSched == nil {
-		mkSched = func() sched.Scheduler { return sched.NewRoundRobin() }
-	}
-	ref := sc
-	ref.Scheduler = mkSched()
-	rep := Run(newAlg(), ref)
-	if !rep.OK() {
-		return nil, fmt.Errorf("crash sweep: reference run of %s failed: %s", rep.Algorithm, rep.Failures())
-	}
-	pts := fault.ExhaustivePoints(victim, rep.Steps)
-	return robustDo(sc, "crash", rep.Algorithm,
-		[]string{"crash", rep.Algorithm, fpScenario(sc), mkSched().Name(),
-			fmt.Sprintf("victim=%d refsteps=%d", victim, rep.Steps)},
-		len(pts),
-		// Known row shape: a crash at step k replays the k-step prefix
-		// and then runs the survivors out (bounded by the reference
-		// length), so later crash points cost more.
-		func(i int) int64 { return int64(rep.Steps + pts[i].Step) },
-		func(i int) string { return pts[i].String() },
-		func(c *runnerCache, i int) CrashOutcome {
-			run := sc
-			run.Scheduler = mkSched()
-			return runCrashOn(c, newAlg(), run, pts[i])
-		},
-		func(i int, f *parwork.RowFailure) CrashOutcome {
-			return CrashOutcome{Algorithm: rep.Algorithm, Point: pts[i],
-				VictimIsWriter: pts[i].Victim >= sc.NReaders,
-				CrashSection:   memmodel.SecRemainder, Err: f}
-		})
+	return crashSweep(newAlg, sc, "crash",
+		func(_ int64, steps int) []fault.Point { return fault.ExhaustivePoints(victim, steps) },
+		func(steps []int) string { return fmt.Sprintf("victim=%d refsteps=%d", victim, steps[0]) },
+	).exhaustive(mkSched)
 }
 
 // CrashSweepSampled samples crash points under seed-parameterized
@@ -157,79 +132,59 @@ func CrashSweep(newAlg func() memmodel.Algorithm, sc Scenario, victim int, mkSch
 // step range. mkSched builds the scheduler for a seed; nil selects
 // sched.NewRandom. Use sched.NewPCT-based factories for
 // probabilistic-concurrency-testing sweeps. Both phases — the per-seed
-// reference runs and the flattened (seed, point) crash runs — fan out
-// across sc.Parallel workers; see CrashSweep for the concurrency
-// requirements on newAlg and mkSched.
+// reference runs and the (seed, point) crash runs — fan out across
+// sc.Parallel workers; see CrashSweep for the concurrency requirements on
+// newAlg and mkSched.
 func CrashSweepSampled(newAlg func() memmodel.Algorithm, sc Scenario, victims []int, seeds []int64, perSeed int, mkSched func(seed int64) sched.Scheduler) ([]CrashOutcome, error) {
-	if mkSched == nil {
-		mkSched = func(seed int64) sched.Scheduler { return sched.NewRandom(seed) }
-	}
-	workers := sweepWorkers(sc)
-	type job struct {
-		seed int64
-		pt   fault.Point
-		ref  int // the seed's reference step count, the row's cost scale
-	}
-	type seedJobs struct {
-		jobs     []job
-		refSteps int
-	}
-	perSeedJobs, err := parwork.DoErr(workers, len(seeds), func(i int) (seedJobs, error) {
-		seed := seeds[i]
-		ref := sc
-		ref.Scheduler = mkSched(seed)
-		rep := Run(newAlg(), ref)
-		if !rep.OK() {
-			return seedJobs{}, fmt.Errorf("crash sweep: reference run of %s (seed %d) failed: %s",
-				rep.Algorithm, seed, rep.Failures())
-		}
-		pts := dedupPoints(fault.RandomPoints(seed, victims, rep.Steps+1, perSeed))
-		jobs := make([]job, len(pts))
-		for k, pt := range pts {
-			jobs[k] = job{seed: seed, pt: pt, ref: rep.Steps}
-		}
-		return seedJobs{jobs: jobs, refSteps: rep.Steps}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]job, 0, len(seeds)*perSeed)
-	refSteps := make([]int, 0, len(seeds))
-	for _, sj := range perSeedJobs {
-		jobs = append(jobs, sj.jobs...)
-		refSteps = append(refSteps, sj.refSteps)
-	}
-	// The per-seed reference step counts pin the sampled job list exactly
-	// (the points are a pure function of seed, victims, perSeed and that
-	// count), keeping the fingerprint compact at any sample size.
-	algName := newAlg().Name()
-	return robustDo(sc, "crash-sampled", algName,
-		[]string{"crash-sampled", algName, fpScenario(sc), sampledSchedName(mkSched, seeds),
-			fmt.Sprintf("victims=%v seeds=%v perSeed=%d refsteps=%v", victims, seeds, perSeed, refSteps)},
-		len(jobs),
-		// Rows from different seeds have different reference lengths —
-		// the per-seed shape a flat claim counter cannot see.
-		func(i int) int64 { return int64(jobs[i].ref + jobs[i].pt.Step) },
-		func(i int) string { return fmt.Sprintf("seed=%d %s", jobs[i].seed, jobs[i].pt) },
-		func(c *runnerCache, i int) CrashOutcome {
-			run := sc
-			run.Scheduler = mkSched(jobs[i].seed)
-			return runCrashOn(c, newAlg(), run, jobs[i].pt)
+	return crashSweep(newAlg, sc, "crash-sampled",
+		func(seed int64, steps int) []fault.Point {
+			return dedupPoints(fault.RandomPoints(seed, victims, steps+1, perSeed))
 		},
-		func(i int, f *parwork.RowFailure) CrashOutcome {
-			return CrashOutcome{Algorithm: algName, Point: jobs[i].pt,
-				VictimIsWriter: jobs[i].pt.Victim >= sc.NReaders,
-				CrashSection:   memmodel.SecRemainder, Err: f}
-		})
+		// The per-seed reference step counts pin the sampled points exactly
+		// (they are a pure function of seed, victims, perSeed and that
+		// count), keeping the fingerprint compact at any sample size.
+		func(steps []int) string {
+			return fmt.Sprintf("victims=%v seeds=%v perSeed=%d refsteps=%v", victims, seeds, perSeed, steps)
+		},
+	).sampled(seeds, mkSched)
 }
 
-// sampledSchedName renders the scheduler family a sampled sweep uses, for
-// its fingerprint (probed on the first seed; the family is seed-uniform).
-func sampledSchedName(mkSched func(seed int64) sched.Scheduler, seeds []int64) string {
-	if len(seeds) == 0 {
-		return "none"
+// crashSweep is the crash-stop sweep of newAlg's algorithm: each row
+// crashes one victim (see RunCrash).
+func crashSweep(newAlg func() memmodel.Algorithm, sc Scenario, kind string,
+	points func(seed int64, steps int) []fault.Point, params func(steps []int) string,
+) sweep[fault.Point, CrashOutcome] {
+	alg := newAlg().Name()
+	return sweep[fault.Point, CrashOutcome]{
+		kind: kind, noun: "crash", alg: alg, sc: sc,
+		ref:    refRun(newAlg),
+		points: points,
+		params: params,
+		// Known row shape: a crash at step k replays the k-step prefix
+		// and then runs the survivors out (bounded by the reference
+		// length), so later crash points cost more.
+		cost:  func(steps int, pt fault.Point) int64 { return int64(steps + pt.Step) },
+		label: fault.Point.String,
+		run: func(c *runnerCache, sc Scenario, pt fault.Point) CrashOutcome {
+			return runCrashOn(c, newAlg(), sc, pt)
+		},
+		failed: func(pt fault.Point, f *parwork.RowFailure) CrashOutcome {
+			return CrashOutcome{Algorithm: alg, Point: pt, VictimIsWriter: pt.Victim >= sc.NReaders,
+				CrashSection: memmodel.SecRemainder, Err: f}
+		},
 	}
-	return mkSched(seeds[0]).Name()
+}
+
+// refRun is the reference-run function of the crash, stall and mixed
+// sweeps: one fault-free execution of a fresh instance.
+func refRun(newAlg func() memmodel.Algorithm) func(Scenario) (int, string) {
+	return func(sc Scenario) (int, string) {
+		rep := Run(newAlg(), sc)
+		if !rep.OK() {
+			return 0, rep.Failures()
+		}
+		return rep.Steps, ""
+	}
 }
 
 // dedupPoints drops duplicate sampled crash points, keeping first

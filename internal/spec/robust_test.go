@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -141,11 +143,22 @@ func (bombSched) Next(int, []int) int { panic("injected row panic") }
 
 // bombAfter wraps a scheduler factory: the fuse'th instance it hands out
 // is a bomb. With Parallel=1 the rows consume instances in order, so the
-// failing row is deterministic.
+// failing row is deterministic. A sweep calls its factory once per
+// reference run, once for its fingerprint, then once per row.
 func bombAfter(fuse int) func() sched.Scheduler {
+	bomb := bombAfterSeeded(fuse)
+	return func() sched.Scheduler { return bomb(-1) }
+}
+
+// bombAfterSeeded is bombAfter for sampled sweeps: instances are
+// sched.NewRandom(seed), or round-robin for a negative seed.
+func bombAfterSeeded(fuse int) func(seed int64) sched.Scheduler {
 	var calls atomic.Int64
-	return func() sched.Scheduler {
-		s := sched.NewRoundRobin()
+	return func(seed int64) sched.Scheduler {
+		var s sched.Scheduler = sched.NewRoundRobin()
+		if seed >= 0 {
+			s = sched.NewRandom(seed)
+		}
 		if calls.Add(1) == int64(fuse) {
 			return bombSched{s}
 		}
@@ -153,89 +166,161 @@ func bombAfter(fuse int) func() sched.Scheduler {
 	}
 }
 
+// keepGoingRow is the part of a sweep outcome the keep-going check reads.
+type keepGoingRow struct {
+	err   error
+	point string // the row's fault point(s)
+	full  string // the whole outcome, rendered
+}
+
 // TestSweepKeepGoingIsolatesPanickingRow is the acceptance check for
 // -keep-going: an injected panicking row becomes a reported RowFailure in
-// its outcome slot and the sweep completes; a later resume retries the
+// its outcome slot, labeled with its fault point (and, for a sampled
+// sweep, its seed), and the sweep completes; a later resume retries the
 // failed row (it is never checkpointed) and reproduces the clean output.
 func TestSweepKeepGoingIsolatesPanickingRow(t *testing.T) {
 	newAlg := func() memmodel.Algorithm { return core.New(core.FLog) }
 	base := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1}
 	base.Parallel = 1
 
-	want, err := CrashSweep(newAlg, base, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// run sweeps sc with a scheduler factory whose fuse'th instance
+		// panics (fuse 0: none does).
+		run  func(sc Scenario, fuse int) ([]keepGoingRow, error)
+		fuse int
+		info string
+	}{
+		// Instances: 1 reference run, 1 fingerprint, then rows 0, 1, 2.
+		{"CrashSweep", func(sc Scenario, fuse int) ([]keepGoingRow, error) {
+			outs, err := CrashSweep(newAlg, sc, 0, bombAfter(fuse))
+			rows := make([]keepGoingRow, len(outs))
+			for i, o := range outs {
+				rows[i] = keepGoingRow{o.Err, o.Point.String(), fmt.Sprintf("%+v", o)}
+			}
+			return rows, err
+		}, 5, "crash p0 @2"},
+		// Instances: 2 reference runs, 1 fingerprint, then rows; seed 4
+		// contributes three rows, so instance 7 is seed 5's first.
+		{"MixedSweepSampled", func(sc Scenario, fuse int) ([]keepGoingRow, error) {
+			outs, err := MixedSweepSampled(newAlg, sc, []int{0}, []int{1, 2}, []int64{4, 5}, 3, bombAfterSeeded(fuse))
+			rows := make([]keepGoingRow, len(outs))
+			for i, o := range outs {
+				rows[i] = keepGoingRow{o.Err, fmt.Sprint(o.CrashPoints, o.Point), fmt.Sprintf("%+v", o)}
+			}
+			return rows, err
+		}, 7, "seed=5 crash p0 @7 + stall p1 @17 forever"},
+	}
+	renderRows := func(rows []keepGoingRow) string {
+		var b strings.Builder
+		for _, r := range rows {
+			b.WriteString(r.full + "\n")
+		}
+		return b.String()
 	}
 
-	dir := t.TempDir()
-	st, err := checkpoint.Open(filepath.Join(dir, "ck.json"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := base
-	sc.Robust = &RobustOptions{Store: st, KeepGoing: true}
-	outs, err := CrashSweep(newAlg, sc, 0, bombAfter(5))
-	if err != nil {
-		t.Fatalf("keep-going sweep aborted: %v", err)
-	}
-	if len(outs) != len(want) {
-		t.Fatalf("keep-going sweep returned %d outcomes, want %d", len(outs), len(want))
-	}
-	failed := -1
-	for i, o := range outs {
-		var rf *parwork.RowFailure
-		if errors.As(o.Err, &rf) {
-			if failed != -1 {
-				t.Fatalf("rows %d and %d both failed; want exactly one", failed, i)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.run(base, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			failed = i
-			if rf.Index != i {
-				t.Errorf("RowFailure.Index = %d in slot %d", rf.Index, i)
-			}
-			if rf.PanicValue != "injected row panic" {
-				t.Errorf("PanicValue = %q", rf.PanicValue)
-			}
-			if rf.Stack == "" {
-				t.Error("RowFailure carries no stack")
-			}
-			if rf.Info == "" {
-				t.Error("RowFailure carries no fault-point info")
-			}
-			if o.Point != want[i].Point {
-				t.Errorf("failed slot %d lost its fault point: %v != %v", i, o.Point, want[i].Point)
-			}
-			continue
-		}
-		if o.Err != nil {
-			t.Errorf("row %d: unexpected error %v", i, o.Err)
-		}
-		if fmt.Sprintf("%+v", o) != fmt.Sprintf("%+v", want[i]) {
-			t.Errorf("healthy row %d diverged from the clean sweep", i)
-		}
-	}
-	if failed == -1 {
-		t.Fatal("the injected panic produced no RowFailure")
-	}
 
-	// Resume with a healthy scheduler factory: only the failed row is
-	// recomputed, and the output now matches the clean sweep everywhere.
-	st2, err := checkpoint.Open(filepath.Join(dir, "ck.json"), true)
-	if err != nil {
-		t.Fatal(err)
+			dir := t.TempDir()
+			st, err := checkpoint.Open(filepath.Join(dir, "ck.json"), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := base
+			sc.Robust = &RobustOptions{Store: st, KeepGoing: true}
+			outs, err := tc.run(sc, tc.fuse)
+			if err != nil {
+				t.Fatalf("keep-going sweep aborted: %v", err)
+			}
+			if len(outs) != len(want) {
+				t.Fatalf("keep-going sweep returned %d outcomes, want %d", len(outs), len(want))
+			}
+			failed := -1
+			for i, o := range outs {
+				var rf *parwork.RowFailure
+				if errors.As(o.err, &rf) {
+					if failed != -1 {
+						t.Fatalf("rows %d and %d both failed; want exactly one", failed, i)
+					}
+					failed = i
+					if rf.Index != i {
+						t.Errorf("RowFailure.Index = %d in slot %d", rf.Index, i)
+					}
+					if rf.PanicValue != "injected row panic" {
+						t.Errorf("PanicValue = %q", rf.PanicValue)
+					}
+					if rf.Stack == "" {
+						t.Error("RowFailure carries no stack")
+					}
+					if rf.Info != tc.info {
+						t.Errorf("RowFailure.Info = %q, want %q", rf.Info, tc.info)
+					}
+					if o.point != want[i].point {
+						t.Errorf("failed slot %d lost its fault point: %s != %s", i, o.point, want[i].point)
+					}
+					continue
+				}
+				if o.err != nil {
+					t.Errorf("row %d: unexpected error %v", i, o.err)
+				}
+				if o.full != want[i].full {
+					t.Errorf("healthy row %d diverged from the clean sweep", i)
+				}
+			}
+			if failed == -1 {
+				t.Fatal("the injected panic produced no RowFailure")
+			}
+
+			// Resume with a healthy scheduler factory: only the failed row
+			// is recomputed, and the output now matches the clean sweep
+			// everywhere.
+			st2, err := checkpoint.Open(filepath.Join(dir, "ck.json"), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var computed atomic.Int64
+			scR := base
+			scR.Robust = &RobustOptions{Store: st2,
+				AfterRow: func(done int) { computed.Store(int64(done)) }}
+			outs2, err := tc.run(scR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if computed.Load() != 1 {
+				t.Errorf("resume recomputed %d rows, want just the failed one", computed.Load())
+			}
+			if renderRows(outs2) != renderRows(want) {
+				t.Error("resumed sweep diverged from the clean sweep")
+			}
+		})
 	}
-	var computed atomic.Int64
-	scR := base
-	scR.Robust = &RobustOptions{Store: st2,
-		AfterRow: func(done int) { computed.Store(int64(done)) }}
-	outs2, err := CrashSweep(newAlg, scR, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed.Load() != 1 {
-		t.Errorf("resume recomputed %d rows, want just the failed one", computed.Load())
-	}
-	if render(outs2) != render(want) {
-		t.Error("resumed sweep diverged from the clean sweep")
+}
+
+// TestSweepFailFastPanic: with no robust options on the scenario and no
+// process default, a row whose scheduler panics re-raises the original
+// panic value on the caller, serial or parallel.
+func TestSweepFailFastPanic(t *testing.T) {
+	prev := DefaultRobust()
+	SetDefaultRobust(nil)
+	t.Cleanup(func() { SetDefaultRobust(prev) })
+	newAlg := func() memmodel.Algorithm { return core.New(core.FLog) }
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sc := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1, Parallel: workers}
+			defer func() {
+				if v := recover(); v != "injected row panic" {
+					t.Errorf("sweep panicked with %v, want the row's own panic value", v)
+				}
+			}()
+			_, _ = CrashSweep(newAlg, sc, 0, bombAfter(5))
+			t.Error("sweep returned despite a panicking row")
+		})
 	}
 }
 
@@ -356,4 +441,101 @@ func TestWireRenderFidelity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSweepFingerprintsStable pins the checkpoint identity of every sweep
+// entry point — section key, configuration fingerprint and row count — on
+// one fixed scenario. A checkpoint written by an earlier build resumes only
+// if all three still match, so a change to any of them silently orphans
+// existing checkpoint files (they fail with *checkpoint.MismatchError).
+func TestSweepFingerprintsStable(t *testing.T) {
+	newAlg := func() memmodel.Algorithm { return core.New(core.FLog) }
+	newRec := func() memmodel.RecoverableAlgorithm { return recoverable.NewCentralized() }
+	base := Scenario{NReaders: 2, NWriters: 1, ReaderPassages: 1, WriterPassages: 1, Parallel: 2}
+	seeds := []int64{1, 2}
+
+	cases := []struct {
+		name string
+		run  func(sc Scenario) error
+		key  string
+		fp   string
+		rows int
+	}{
+		{"CrashSweep", func(sc Scenario) error {
+			_, err := CrashSweep(newAlg, sc, 0, nil)
+			return err
+		}, "crash/af-log#1",
+			"25e769b1b7ece547b73bbf5baab37523909a5ff4e93c7c96d310917257cbc451", 81},
+		{"CrashSweepSampled", func(sc Scenario) error {
+			_, err := CrashSweepSampled(newAlg, sc, []int{0, 2}, seeds, 4, nil)
+			return err
+		}, "crash-sampled/af-log#1",
+			"b67b9c6a69c68ade6ee8b2fc94bb42d3b6d5ba53db64982ede8964b23ad28aa7", 8},
+		{"StallSweep", func(sc Scenario) error {
+			_, err := StallSweep(newAlg, sc, 2, nil)
+			return err
+		}, "stall/af-log#1",
+			"cf0f2e5952b963a82b71c24f6be3cd4ef420dde8ced41570858ff673de1d8399", 162},
+		{"StallSweepSampled", func(sc Scenario) error {
+			_, err := StallSweepSampled(newAlg, sc, []int{0, 2}, seeds, 4, nil)
+			return err
+		}, "stall-sampled/af-log#1",
+			"da154df59cb8462c4b215001fb78208603bdafb6f6b1e6e9a590b5bd7028399d", 8},
+		{"MixedSweepSampled", func(sc Scenario) error {
+			_, err := MixedSweepSampled(newAlg, sc, []int{0, 1}, []int{1, 2}, seeds, 4, nil)
+			return err
+		}, "mixed-sampled/af-log#1",
+			"524a5d0eaba57867f732e2a4e6625a1ab457d7c685da7dcaa6c830a3cb89c283", 3},
+		{"RecoverySweep", func(sc Scenario) error {
+			_, err := RecoverySweep(newRec, sc, 0, 1, nil)
+			return err
+		}, "recover/r-centralized#1",
+			"d449c45852c84a11292224ca6777efc6e1b9de7011b99d2bd8c1d8d9a0bba66c", 35},
+		{"RecoverySweepRecrash", func(sc Scenario) error {
+			_, err := RecoverySweepRecrash(newRec, sc, 2, 3, []int{1, 2}, nil)
+			return err
+		}, "recover-recrash/r-centralized#1",
+			"c70e886fae98eb2dd6d202a03e1df1c703bc2948ff07a2e780c946e6591109e1", 24},
+		{"RecoverySweepSampled", func(sc Scenario) error {
+			_, err := RecoverySweepSampled(newRec, sc, []int{0, 2}, seeds, 4, 1, nil)
+			return err
+		}, "recover-sampled/r-centralized#1",
+			"f16e355e725c0ff716c2154ef5169ddce6bc951a871e3404362325bd74f3c6a8", 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.json")
+			st, err := checkpoint.Open(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := base
+			sc.Robust = &RobustOptions{Store: st}
+			if err := tc.run(sc); err != nil {
+				t.Fatal(err)
+			}
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var file struct {
+				Sections map[string]struct {
+					Fingerprint string `json:"fingerprint"`
+					Total       int    `json:"total"`
+				} `json:"sections"`
+			}
+			if err := json.Unmarshal(buf, &file); err != nil {
+				t.Fatal(err)
+			}
+			if len(file.Sections) != 1 {
+				t.Fatalf("sweep wrote %d checkpoint sections, want 1", len(file.Sections))
+			}
+			for key, sec := range file.Sections {
+				if key != tc.key || sec.Fingerprint != tc.fp || sec.Total != tc.rows {
+					t.Errorf("checkpoint identity changed:\n got %s %s rows=%d\nwant %s %s rows=%d",
+						key, sec.Fingerprint, sec.Total, tc.key, tc.fp, tc.rows)
+				}
+			}
+		})
+	}
 }

@@ -57,8 +57,8 @@ type Scenario struct {
 	// isolation, row deadline — see RobustOptions). nil selects the
 	// process default (SetDefaultRobust, set by the cmd binaries'
 	// -checkpoint/-resume/-keep-going/-row-timeout flags); a non-nil
-	// zero-valued struct opts OUT of that default, forcing the plain
-	// fast path. Single executions ignore it. Like Parallel it never
+	// zero-valued struct opts OUT of that default: no checkpoint,
+	// fail-fast, no row deadline. Single executions ignore it. Like Parallel it never
 	// affects results: a resumed or keep-going sweep fills the same
 	// result slots with the same values (failed rows excepted).
 	Robust *RobustOptions
@@ -199,7 +199,8 @@ func sweepWorkers(sc Scenario) int {
 // runnerCache lends one sim.Runner out to consecutive executions on the
 // same goroutine: the first get constructs it, later gets Reset it,
 // reusing the simulator's buffers and pooled process coroutines. Each sweep
-// worker owns one cache (parwork.DoScoped), so runners are never shared.
+// worker owns one cache (its parwork.DoRobust scope), so runners are never
+// shared.
 type runnerCache struct{ r *sim.Runner }
 
 func (c *runnerCache) get(cfg sim.Config) *sim.Runner {

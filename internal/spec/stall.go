@@ -229,41 +229,18 @@ func classifyWedge(np *sim.NoProgressError, out StallOutcome, r *sim.Runner) []s
 // with Parallel != 1, newAlg and mkSched are called concurrently and must
 // be safe for that (pure constructors are).
 func StallSweep(newAlg func() memmodel.Algorithm, sc Scenario, victim int, mkSched func() sched.Scheduler) ([]StallOutcome, error) {
-	if mkSched == nil {
-		mkSched = func() sched.Scheduler { return sched.NewRoundRobin() }
-	}
-	ref := sc
-	ref.Scheduler = mkSched()
-	rep := Run(newAlg(), ref)
-	if !rep.OK() {
-		return nil, fmt.Errorf("stall sweep: reference run of %s failed: %s", rep.Algorithm, rep.Failures())
-	}
-	delay := rep.Steps + 1
-	pts := make([]fault.StallPoint, 0, 2*(rep.Steps+1))
-	for k := 0; k <= rep.Steps; k++ {
-		for _, d := range []int{delay, fault.Forever} {
-			pts = append(pts, fault.StallPoint{Victim: victim, Step: k, Duration: d})
-		}
-	}
-	return robustDo(sc, "stall", rep.Algorithm,
-		[]string{"stall", rep.Algorithm, fpScenario(sc), mkSched().Name(),
-			fmt.Sprintf("victim=%d refsteps=%d", victim, rep.Steps)},
-		len(pts),
-		// Known row shape: a finite stall fast-forwards Duration extra
-		// global steps on top of the replayed prefix and the survivors'
-		// remainder; an indefinite stall (Forever) adds none.
-		func(i int) int64 { return stallCost(rep.Steps, pts[i]) },
-		func(i int) string { return pts[i].String() },
-		func(c *runnerCache, i int) StallOutcome {
-			run := sc
-			run.Scheduler = mkSched()
-			return runMixedOn(c, newAlg(), run, nil, pts[i])
+	return stallSweep(newAlg, sc, "stall",
+		func(_ int64, steps int) []fault.StallPoint {
+			pts := make([]fault.StallPoint, 0, 2*(steps+1))
+			for k := 0; k <= steps; k++ {
+				for _, d := range []int{steps + 1, fault.Forever} {
+					pts = append(pts, fault.StallPoint{Victim: victim, Step: k, Duration: d})
+				}
+			}
+			return pts
 		},
-		func(i int, f *parwork.RowFailure) StallOutcome {
-			return StallOutcome{Algorithm: rep.Algorithm, Point: pts[i],
-				VictimIsWriter: pts[i].Victim >= sc.NReaders,
-				StallSection:   memmodel.SecRemainder, Err: f}
-		})
+		func(steps []int) string { return fmt.Sprintf("victim=%d refsteps=%d", victim, steps[0]) },
+	).exhaustive(mkSched)
 }
 
 // StallSweepSampled samples stall points under seed-parameterized
@@ -274,61 +251,44 @@ func StallSweep(newAlg func() memmodel.Algorithm, sc Scenario, victim int, mkSch
 // Both phases fan out across sc.Parallel workers; see StallSweep for the
 // concurrency requirements on newAlg and mkSched.
 func StallSweepSampled(newAlg func() memmodel.Algorithm, sc Scenario, victims []int, seeds []int64, perSeed int, mkSched func(seed int64) sched.Scheduler) ([]StallOutcome, error) {
-	if mkSched == nil {
-		mkSched = func(seed int64) sched.Scheduler { return sched.NewRandom(seed) }
-	}
-	workers := sweepWorkers(sc)
-	type job struct {
-		seed int64
-		pt   fault.StallPoint
-		ref  int // the seed's reference step count, the row's cost scale
-	}
-	type seedJobs struct {
-		jobs     []job
-		refSteps int
-	}
-	perSeedJobs, err := parwork.DoErr(workers, len(seeds), func(i int) (seedJobs, error) {
-		seed := seeds[i]
-		ref := sc
-		ref.Scheduler = mkSched(seed)
-		rep := Run(newAlg(), ref)
-		if !rep.OK() {
-			return seedJobs{}, fmt.Errorf("stall sweep: reference run of %s (seed %d) failed: %s",
-				rep.Algorithm, seed, rep.Failures())
-		}
-		pts := fault.RandomStallPoints(seed, victims, rep.Steps+1, perSeed, rep.Steps+1)
-		jobs := make([]job, len(pts))
-		for k, pt := range pts {
-			jobs[k] = job{seed: seed, pt: pt, ref: rep.Steps}
-		}
-		return seedJobs{jobs: jobs, refSteps: rep.Steps}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]job, 0, len(seeds)*perSeed)
-	refSteps := make([]int, 0, len(seeds))
-	for _, sj := range perSeedJobs {
-		jobs = append(jobs, sj.jobs...)
-		refSteps = append(refSteps, sj.refSteps)
-	}
-	algName := newAlg().Name()
-	return robustDo(sc, "stall-sampled", algName,
-		[]string{"stall-sampled", algName, fpScenario(sc), sampledSchedName(mkSched, seeds),
-			fmt.Sprintf("victims=%v seeds=%v perSeed=%d refsteps=%v", victims, seeds, perSeed, refSteps)},
-		len(jobs),
-		func(i int) int64 { return stallCost(jobs[i].ref, jobs[i].pt) },
-		func(i int) string { return fmt.Sprintf("seed=%d %s", jobs[i].seed, jobs[i].pt) },
-		func(c *runnerCache, i int) StallOutcome {
-			run := sc
-			run.Scheduler = mkSched(jobs[i].seed)
-			return runMixedOn(c, newAlg(), run, nil, jobs[i].pt)
+	return stallSweep(newAlg, sc, "stall-sampled",
+		func(seed int64, steps int) []fault.StallPoint {
+			return fault.RandomStallPoints(seed, victims, steps+1, perSeed, steps+1)
 		},
-		func(i int, f *parwork.RowFailure) StallOutcome {
-			return StallOutcome{Algorithm: algName, Point: jobs[i].pt,
-				VictimIsWriter: jobs[i].pt.Victim >= sc.NReaders,
-				StallSection:   memmodel.SecRemainder, Err: f}
-		})
+		func(steps []int) string {
+			return fmt.Sprintf("victims=%v seeds=%v perSeed=%d refsteps=%v", victims, seeds, perSeed, steps)
+		},
+	).sampled(seeds, mkSched)
+}
+
+// stallSweep is the fail-slow sweep of newAlg's algorithm: each row
+// stalls one victim (see RunStall).
+func stallSweep(newAlg func() memmodel.Algorithm, sc Scenario, kind string,
+	points func(seed int64, steps int) []fault.StallPoint, params func(steps []int) string,
+) sweep[fault.StallPoint, StallOutcome] {
+	alg := newAlg().Name()
+	return sweep[fault.StallPoint, StallOutcome]{
+		kind: kind, noun: "stall", alg: alg, sc: sc,
+		ref:    refRun(newAlg),
+		points: points,
+		params: params,
+		cost:   stallCost,
+		label:  fault.StallPoint.String,
+		run: func(c *runnerCache, sc Scenario, pt fault.StallPoint) StallOutcome {
+			return runMixedOn(c, newAlg(), sc, nil, pt)
+		},
+		failed: func(pt fault.StallPoint, f *parwork.RowFailure) StallOutcome {
+			return StallOutcome{Algorithm: alg, Point: pt, VictimIsWriter: pt.Victim >= sc.NReaders,
+				StallSection: memmodel.SecRemainder, Err: f}
+		},
+	}
+}
+
+// mixedPoint is one row of a mixed sweep: a crash and a stall against
+// distinct victims.
+type mixedPoint struct {
+	crash fault.Point
+	stall fault.StallPoint
 }
 
 // MixedSweepSampled samples combined crash+stall configurations: per seed,
@@ -340,71 +300,36 @@ func StallSweepSampled(newAlg func() memmodel.Algorithm, sc Scenario, victims []
 // Both phases fan out across sc.Parallel workers; see StallSweep for the
 // concurrency requirements on newAlg and mkSched.
 func MixedSweepSampled(newAlg func() memmodel.Algorithm, sc Scenario, crashVictims, stallVictims []int, seeds []int64, perSeed int, mkSched func(seed int64) sched.Scheduler) ([]StallOutcome, error) {
-	if mkSched == nil {
-		mkSched = func(seed int64) sched.Scheduler { return sched.NewRandom(seed) }
-	}
-	workers := sweepWorkers(sc)
-	type job struct {
-		seed  int64
-		crash fault.Point
-		stall fault.StallPoint
-		ref   int // the seed's reference step count, the row's cost scale
-	}
-	type seedJobs struct {
-		jobs     []job
-		refSteps int
-	}
-	perSeedJobs, err := parwork.DoErr(workers, len(seeds), func(i int) (seedJobs, error) {
-		seed := seeds[i]
-		ref := sc
-		ref.Scheduler = mkSched(seed)
-		rep := Run(newAlg(), ref)
-		if !rep.OK() {
-			return seedJobs{}, fmt.Errorf("mixed sweep: reference run of %s (seed %d) failed: %s",
-				rep.Algorithm, seed, rep.Failures())
-		}
-		crashes := fault.RandomPoints(seed, crashVictims, rep.Steps+1, perSeed)
-		stalls := fault.RandomStallPoints(seed+1, stallVictims, rep.Steps+1, perSeed, rep.Steps+1)
-		n := min(len(crashes), len(stalls))
-		jobs := make([]job, 0, n)
-		for k := 0; k < n; k++ {
-			if crashes[k].Victim == stalls[k].Victim {
-				continue
+	alg := newAlg().Name()
+	return sweep[mixedPoint, StallOutcome]{
+		kind: "mixed-sampled", noun: "mixed", alg: alg, sc: sc,
+		ref: refRun(newAlg),
+		points: func(seed int64, steps int) []mixedPoint {
+			crashes := fault.RandomPoints(seed, crashVictims, steps+1, perSeed)
+			stalls := fault.RandomStallPoints(seed+1, stallVictims, steps+1, perSeed, steps+1)
+			n := min(len(crashes), len(stalls))
+			pts := make([]mixedPoint, 0, n)
+			for k := 0; k < n; k++ {
+				if crashes[k].Victim != stalls[k].Victim {
+					pts = append(pts, mixedPoint{crashes[k], stalls[k]})
+				}
 			}
-			jobs = append(jobs, job{seed: seed, crash: crashes[k], stall: stalls[k], ref: rep.Steps})
-		}
-		return seedJobs{jobs: jobs, refSteps: rep.Steps}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]job, 0, len(seeds)*perSeed)
-	refSteps := make([]int, 0, len(seeds))
-	for _, sj := range perSeedJobs {
-		jobs = append(jobs, sj.jobs...)
-		refSteps = append(refSteps, sj.refSteps)
-	}
-	algName := newAlg().Name()
-	return robustDo(sc, "mixed-sampled", algName,
-		[]string{"mixed-sampled", algName, fpScenario(sc), sampledSchedName(mkSched, seeds),
-			fmt.Sprintf("crashVictims=%v stallVictims=%v seeds=%v perSeed=%d refsteps=%v",
-				crashVictims, stallVictims, seeds, perSeed, refSteps)},
-		len(jobs),
-		func(i int) int64 { return stallCost(jobs[i].ref, jobs[i].stall) },
-		func(i int) string {
-			return fmt.Sprintf("seed=%d %s + %s", jobs[i].seed, jobs[i].crash, jobs[i].stall)
+			return pts
 		},
-		func(c *runnerCache, i int) StallOutcome {
-			run := sc
-			run.Scheduler = mkSched(jobs[i].seed)
-			return runMixedOn(c, newAlg(), run, []fault.Point{jobs[i].crash}, jobs[i].stall)
+		params: func(steps []int) string {
+			return fmt.Sprintf("crashVictims=%v stallVictims=%v seeds=%v perSeed=%d refsteps=%v",
+				crashVictims, stallVictims, seeds, perSeed, steps)
 		},
-		func(i int, f *parwork.RowFailure) StallOutcome {
-			return StallOutcome{Algorithm: algName, Point: jobs[i].stall,
-				CrashPoints:    []fault.Point{jobs[i].crash},
-				VictimIsWriter: jobs[i].stall.Victim >= sc.NReaders,
-				StallSection:   memmodel.SecRemainder, Err: f}
-		})
+		cost:  func(steps int, pt mixedPoint) int64 { return stallCost(steps, pt.stall) },
+		label: func(pt mixedPoint) string { return fmt.Sprintf("%s + %s", pt.crash, pt.stall) },
+		run: func(c *runnerCache, sc Scenario, pt mixedPoint) StallOutcome {
+			return runMixedOn(c, newAlg(), sc, []fault.Point{pt.crash}, pt.stall)
+		},
+		failed: func(pt mixedPoint, f *parwork.RowFailure) StallOutcome {
+			return StallOutcome{Algorithm: alg, Point: pt.stall, CrashPoints: []fault.Point{pt.crash},
+				VictimIsWriter: pt.stall.Victim >= sc.NReaders, StallSection: memmodel.SecRemainder, Err: f}
+		},
+	}.sampled(seeds, mkSched)
 }
 
 // StallViolations applies the section-sensitive fail-slow liveness
