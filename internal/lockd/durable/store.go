@@ -69,8 +69,11 @@ type Store struct {
 	opts Options
 	fp   string
 
+	// wal is immutable after Open and safe for concurrent use, so Sync
+	// reaches it without mu: the group-commit fsync never holds mu.
+	wal *wal
+
 	mu        sync.Mutex
-	wal       *wal   //rwguard:mu
 	st        *State //rwguard:mu
 	lsn       uint64 //rwguard:mu
 	sinceSnap int    //rwguard:mu
@@ -145,48 +148,71 @@ func (s *Store) Epoch() uint64 {
 	return s.st.Epoch
 }
 
-// Append assigns the next LSN to rec, writes it to the WAL (syncing per
-// policy), folds it into the shadow, and snapshots when the rotation
-// threshold is reached. The record is durable per the fsync policy when
-// Append returns; callers send responses only after that return, so a
-// response the client observed always corresponds to a logged operation.
+// Append logs rec and makes it durable per the fsync policy before it
+// returns (Log, then Sync). Callers send responses only after that
+// return, so a response the client observed always corresponds to a
+// logged operation.
 func (s *Store) Append(rec *Record) error {
-	return s.append(rec, false)
+	lsn, err := s.Log(rec)
+	if err != nil {
+		return err
+	}
+	return s.Sync(lsn)
 }
 
-func (s *Store) append(rec *Record, sync bool) error {
+// Log assigns the next LSN to rec, writes it to the WAL in one write
+// call, folds it into the shadow, and snapshots when the rotation
+// threshold is reached. It does not fsync: the record survives a kill -9
+// once Log returns, and a power failure once Sync(lsn) returns. Callers
+// may Log under their own locks and Sync after releasing them.
+func (s *Store) Log(rec *Record) (lsn uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("durable: store closed")
+		return 0, errClosed
 	}
 	s.lsn++
 	rec.LSN = s.lsn
-	if err := s.wal.append(rec, sync); err != nil {
-		return err
+	if err := s.wal.append(rec); err != nil {
+		return 0, err
 	}
 	s.st.Apply(rec)
 	s.sinceSnap++
 	if s.sinceSnap >= s.opts.SnapshotEvery {
-		if err := s.snapshotLocked(); err != nil {
-			// A failed rotation is not fatal to the append — the record
-			// is in the WAL; the log just keeps growing until a rotation
-			// succeeds.
-			return nil
-		}
+		// A failed rotation is not fatal to the record — it is in the
+		// WAL; the log just keeps growing until a rotation succeeds (or,
+		// if the WAL itself broke, the next Log reports it).
+		s.snapshotLocked() //nolint:errcheck // see above
 	}
-	return nil
+	return rec.LSN, nil
 }
 
-// BumpEpoch appends an epoch record for epoch+1 with an unconditional
-// fsync (the bump is the no-double-grant linchpin: it must be durable
-// before the first post-restart grant) and returns the new epoch. The
+// Sync returns once every record up to lsn is durable per the fsync
+// policy. Under FsyncAlways it is a group commit: one fsync, run outside
+// the store's locks, covers every record written before it started, and
+// concurrent callers whose records it covers return without another.
+// Under FsyncInterval and FsyncNever it syncs nothing. After a write or
+// fsync failure, or after Close or Crash, it returns an error.
+func (s *Store) Sync(lsn uint64) error {
+	if s.opts.Fsync == FsyncAlways {
+		return s.wal.sync(lsn)
+	}
+	return s.wal.err()
+}
+
+// BumpEpoch logs an epoch record for epoch+1 and fsyncs it whatever the
+// policy (the bump is the no-double-grant linchpin: it must be durable
+// before the first post-restart grant), and returns the new epoch. The
 // shadow apply fences every restored hold and queued entry.
 func (s *Store) BumpEpoch() (uint64, error) {
 	s.mu.Lock()
 	next := s.st.Epoch + 1
 	s.mu.Unlock()
-	if err := s.append(&Record{Type: RecEpoch, Epoch: next}, true); err != nil {
+	lsn, err := s.Log(&Record{Type: RecEpoch, Epoch: next})
+	if err != nil {
+		return 0, err
+	}
+	if err := s.wal.sync(lsn); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -197,7 +223,7 @@ func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("durable: store closed")
+		return errClosed
 	}
 	return s.snapshotLocked()
 }

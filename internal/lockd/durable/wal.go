@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -11,8 +12,11 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs after every append: no committed grant can be
-	// lost to a power failure, at one fsync per operation.
+	// FsyncAlways makes Store.Sync a group commit: a response is sent only
+	// after an fsync that started after its records were written. One
+	// fsync covers every record written before it began, so concurrent
+	// callers share it, and no committed grant can be lost to a power
+	// failure.
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncInterval syncs on a background timer (the default): a power
 	// failure can lose the last interval of records, which is safe — the
@@ -38,16 +42,35 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // rejected as corrupt rather than misparsed as frames.
 const walMagic = "rwlockd-wal\x01\n"
 
+// errClosed is returned by every append or sync after Close or Crash.
+var errClosed = errors.New("durable: store closed")
+
 // wal is the append side of the log: one file, direct (unbuffered)
-// writes, fsync per policy.
+// writes, and group-commit fsyncs.
+//
+// Lock order: syncMu before mu. append and reset hold only mu, so a
+// write never waits for an fsync; sync holds syncMu across its fsync and
+// takes mu only to read the watermarks.
 type wal struct {
-	mu       sync.Mutex
-	f        *os.File //rwguard:mu
-	policy   FsyncPolicy
-	buf      []byte //rwguard:mu
+	// f is immutable after openWAL; *os.File is safe for concurrent use,
+	// so the fsync runs without mu.
+	f        *os.File
 	stop     chan struct{}
 	syncDone chan struct{}
-	syncErr  error //rwguard:mu sticky first background-sync failure
+
+	mu      sync.Mutex
+	buf     []byte //rwguard:mu
+	written uint64 //rwguard:mu LSN of the last record handed to write; never moves backwards
+	closed  bool   //rwguard:mu
+	// syncErr is the first Write or Sync failure. It is sticky: after it,
+	// every append and sync fails and fsync is never retried, because a
+	// failed fsync may have dropped dirty pages that a retry would then
+	// report as durable.
+	syncErr error //rwguard:mu
+
+	syncMu sync.Mutex
+	synced uint64 //rwguard:syncMu LSN covered by the last completed fsync
+	fsyncs int    //rwguard:syncMu group-commit fsyncs issued (tests count them)
 }
 
 // openWAL opens (creating if needed) the log at path for appending. A
@@ -63,7 +86,7 @@ func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*wal, err
 		f.Close()
 		return nil, fmt.Errorf("durable: stat WAL: %w", err)
 	}
-	w := &wal{f: f, policy: policy, stop: make(chan struct{}), syncDone: make(chan struct{})}
+	w := &wal{f: f, stop: make(chan struct{}), syncDone: make(chan struct{})}
 	if fi.Size() == 0 {
 		if _, err := f.WriteString(walMagic); err != nil {
 			f.Close()
@@ -85,6 +108,9 @@ func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*wal, err
 	return w, nil
 }
 
+// syncLoop is the FsyncInterval syncer: each tick is a group commit of
+// everything written so far (none when nothing new was written). A
+// failure is sticky, so later ticks stop syncing.
 func (w *wal) syncLoop(interval time.Duration) {
 	defer close(w.syncDone)
 	t := time.NewTicker(interval)
@@ -95,22 +121,48 @@ func (w *wal) syncLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			w.mu.Lock()
-			if w.syncErr == nil {
-				w.syncErr = w.f.Sync()
-			}
+			lsn := w.written
 			w.mu.Unlock()
+			w.sync(lsn) //nolint:errcheck // sticky: the next append reports it
 		}
 	}
 }
 
-// append frames rec and writes it in one write call, syncing per policy.
-// sync forces a sync regardless of policy (epoch bumps use it: the epoch
-// record is the safety linchpin and is never allowed to be lost).
-func (w *wal) append(rec *Record, sync bool) error {
+// failLocked records the failure of op as the sticky failure (the first
+// one wins) and returns it.
+//
+//rwguard:holds mu
+func (w *wal) failLocked(op string, err error) error {
+	err = fmt.Errorf("durable: WAL %s: %w", op, err)
+	if w.syncErr == nil {
+		w.syncErr = err
+	}
+	return err
+}
+
+// stickyLocked returns the error every operation reports after a failure
+// or close, and nil while the log is healthy.
+//
+//rwguard:holds mu
+func (w *wal) stickyLocked() error {
+	if w.syncErr != nil {
+		return fmt.Errorf("durable: WAL failed earlier: %w", w.syncErr)
+	}
+	if w.closed {
+		return errClosed
+	}
+	return nil
+}
+
+// append frames rec and writes it in one write call. It does not sync:
+// sync(rec.LSN) makes it durable. A failed or short write poisons the
+// log, since the next record would land after a torn frame that replay
+// truncates, and take every later record with it.
+func (w *wal) append(rec *Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.syncErr != nil {
-		return fmt.Errorf("durable: WAL sync failed earlier: %w", w.syncErr)
+	if err := w.stickyLocked(); err != nil {
+		return err
 	}
 	buf, err := AppendFrame(w.buf[:0], rec)
 	if err != nil {
@@ -118,36 +170,73 @@ func (w *wal) append(rec *Record, sync bool) error {
 	}
 	w.buf = buf[:0]
 	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("durable: WAL append: %w", err)
+		return w.failLocked("append", err)
 	}
-	if sync || w.policy == FsyncAlways {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("durable: WAL sync: %w", err)
-		}
-	}
+	w.written = rec.LSN
 	return nil
 }
 
+// sync is the group commit: it returns once an fsync that started after
+// the record with LSN lsn was written has completed. The caller that
+// finds lsn not yet covered becomes the leader and fsyncs everything
+// written so far, outside mu, so appends continue meanwhile; callers
+// queued behind it on syncMu then find their LSN covered and return
+// without a syscall. A failed fsync is sticky, so every caller it was
+// meant to cover gets the error.
+func (w *wal) sync(lsn uint64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	target, err := w.written, w.stickyLocked()
+	w.mu.Unlock()
+	if err != nil || w.synced >= lsn {
+		return err
+	}
+	w.fsyncs++
+	if err := w.f.Sync(); err != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.failLocked("sync", err)
+	}
+	w.synced = target
+	return nil
+}
+
+// err reports the sticky failure or close, without syncing.
+func (w *wal) err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stickyLocked()
+}
+
 // reset truncates the log to empty (post-snapshot rotation) and rewrites
-// the magic header.
+// the magic header. written stays put: the records it covers are durable
+// in the snapshot. A failure after the truncate is sticky, because
+// frames appended behind a missing header make the whole log unreadable.
 func (w *wal) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.stickyLocked(); err != nil {
+		return err
+	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("durable: WAL truncate: %w", err)
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("durable: WAL seek: %w", err)
+		return w.failLocked("seek", err)
 	}
 	if _, err := w.f.WriteString(walMagic); err != nil {
-		return fmt.Errorf("durable: WAL header: %w", err)
+		return w.failLocked("header", err)
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return w.failLocked("header sync", err)
+	}
+	return nil
 }
 
 // close stops the sync loop; final is true for a tidy shutdown (one last
 // sync) and false for a simulated crash (no flush beyond what already
-// reached the file).
+// reached the file). Either way every later append and sync fails.
 func (w *wal) close(final bool) error {
 	select {
 	case <-w.stop:
@@ -155,10 +244,13 @@ func (w *wal) close(final bool) error {
 		close(w.stop)
 	}
 	<-w.syncDone
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closed = true
 	var err error
-	if final {
+	if final && w.syncErr == nil {
 		err = w.f.Sync()
 	}
 	if cerr := w.f.Close(); err == nil {

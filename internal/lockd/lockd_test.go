@@ -49,6 +49,16 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
+// revokedWrites totals the write holds srv revoked on lease expiry.
+func revokedWrites(t *testing.T, srv *Server) uint64 {
+	t.Helper()
+	var n uint64
+	for _, sh := range srv.Stats().Shards {
+		n += sh.RevokedWrite
+	}
+	return n
+}
+
 func TestAcquireReleaseBasics(t *testing.T) {
 	srv := startServer(t, Config{})
 	c := dialT(t, srv, Options{})
@@ -114,6 +124,9 @@ func TestAcquireDeadlineAndQueue(t *testing.T) {
 	if _, err := waiterC.Acquire(ctx, "q", ModeWrite, 80*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("deadline acquire: %v, want ErrTimeout", err)
 	}
+	// A lower bound cannot flake under load: load only delays the reply,
+	// and the server starts its 80ms timer after the request left start
+	// behind, so only a deadline that fires early fails this.
 	if el := time.Since(start); el < 60*time.Millisecond {
 		t.Fatalf("timed out after %v, before the deadline", el)
 	}
@@ -240,13 +253,15 @@ func TestLeaseExpiryRevokesHoldsAndWaiters(t *testing.T) {
 	}()
 	time.Sleep(30 * time.Millisecond) // waiter enqueues behind the victim
 
-	start := time.Now()
 	victim.Abandon() // kill -9: no release, no heartbeats
 
+	// Causal, not timed: the waiter is granted only because the victim's
+	// lease expired and the sweeper revoked its hold. The 5s bounds are
+	// hang guards (50x the TTL), not the property.
 	select {
 	case h := <-grantCh:
-		if el := time.Since(start); el > time.Second {
-			t.Fatalf("re-grant took %v, far past the 100ms TTL", el)
+		if got := revokedWrites(t, srv); got != 1 {
+			t.Fatalf("re-granted with %d write holds revoked, want the victim's 1", got)
 		}
 		if h.Passage <= firstToken {
 			t.Fatalf("re-grant token %d not past the revoked holder's %d", h.Passage, firstToken)

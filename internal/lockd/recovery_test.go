@@ -11,14 +11,19 @@ import (
 	"repro/internal/lockd/durable"
 )
 
-// startDurable builds and serves a durable server on addr, waiting for
-// recovery install (the epoch bump) to finish.
-func startDurable(t *testing.T, addr, dir string) *Server {
+// fsyncPolicies are the WAL policies the restart tests run under: "never"
+// (kill -9 safety does not depend on fsync) and "always" (every response
+// waits for a covering group-commit fsync).
+var fsyncPolicies = []string{"never", "always"}
+
+// startDurable builds and serves a durable server on addr with WAL policy
+// fsync, waiting for recovery install (the epoch bump) to finish.
+func startDurable(t *testing.T, addr, dir, fsync string) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		Addr:          addr,
 		DataDir:       dir,
-		Fsync:         "never", // kill -9 safety does not depend on fsync; keep the test fast
+		Fsync:         fsync,
 		Shards:        4,
 		KeysPerShard:  64,
 		DefaultTTL:    400 * time.Millisecond,
@@ -79,8 +84,14 @@ func TestRecoveringStateServed(t *testing.T) {
 // release quoting the stale token gets ErrEpochFenced, and the
 // re-acquired grant's token strictly dominates the old one.
 func TestEpochFencingAcrossRestart(t *testing.T) {
+	for _, fsync := range fsyncPolicies {
+		t.Run(fsync, func(t *testing.T) { epochFencingAcrossRestart(t, fsync) })
+	}
+}
+
+func epochFencingAcrossRestart(t *testing.T, fsync string) {
 	dir := t.TempDir()
-	srv := startDurable(t, "127.0.0.1:0", dir)
+	srv := startDurable(t, "127.0.0.1:0", dir, fsync)
 	addr := srv.Addr().String()
 
 	c, err := Dial(context.Background(), addr, Options{TTL: 30 * time.Second})
@@ -102,7 +113,7 @@ func TestEpochFencingAcrossRestart(t *testing.T) {
 	oldSession := c.SessionID()
 
 	srv.Crash()
-	srv2 := startDurable(t, addr, dir)
+	srv2 := startDurable(t, addr, dir, fsync)
 	defer srv2.Close()
 	if srv2.Epoch() != 2 {
 		t.Fatalf("post-restart epoch = %d, want 2", srv2.Epoch())
@@ -165,7 +176,7 @@ func TestEpochFencingAcrossRestart(t *testing.T) {
 // request.
 func TestResumeContinuesSeqNumbering(t *testing.T) {
 	dir := t.TempDir()
-	srv := startDurable(t, "127.0.0.1:0", dir)
+	srv := startDurable(t, "127.0.0.1:0", dir, "never")
 	addr := srv.Addr().String()
 
 	c, err := Dial(context.Background(), addr, Options{TTL: 30 * time.Second})
@@ -187,7 +198,7 @@ func TestResumeContinuesSeqNumbering(t *testing.T) {
 	sid := c.SessionID()
 
 	srv.Crash()
-	srv2 := startDurable(t, addr, dir)
+	srv2 := startDurable(t, addr, dir, "never")
 	defer srv2.Close()
 
 	c2, err := Dial(context.Background(), addr, Options{ResumeSession: sid})
@@ -218,8 +229,14 @@ func TestResumeContinuesSeqNumbering(t *testing.T) {
 // (every server-side write grant is observed or revoked/fenced), and the
 // epoch increases by exactly one per restart.
 func TestLedgerAcrossServerCrashes(t *testing.T) {
+	for _, fsync := range fsyncPolicies {
+		t.Run(fsync, func(t *testing.T) { ledgerAcrossServerCrashes(t, fsync) })
+	}
+}
+
+func ledgerAcrossServerCrashes(t *testing.T, fsync string) {
 	dir := t.TempDir()
-	srv := startDurable(t, "127.0.0.1:0", dir)
+	srv := startDurable(t, "127.0.0.1:0", dir, fsync)
 	addr := srv.Addr().String()
 
 	var (
@@ -293,7 +310,7 @@ func TestLedgerAcrossServerCrashes(t *testing.T) {
 	for i := 0; i < crashes; i++ {
 		time.Sleep(250 * time.Millisecond)
 		srv.Crash()
-		srv = startDurable(t, addr, dir)
+		srv = startDurable(t, addr, dir, fsync)
 		want := uint64(2 + i)
 		if got := srv.Epoch(); got != want {
 			t.Errorf("epoch after crash %d = %d, want %d", i+1, got, want)

@@ -192,16 +192,35 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // durable server, after recovery install (epoch bump + state restore).
 func (s *Server) Ready() <-chan struct{} { return s.readyCh }
 
-// logAppend records one WAL record when the server is durable. An append
-// failure (disk full, I/O error) is logged loudly and serving continues:
-// availability wins, and safety survives the degradation — the next
-// restart's epoch bump dominates any token whose grant record was lost.
-func (s *Server) logAppend(rec *durable.Record) {
+// logAppend writes one WAL record when the server is durable and returns
+// its LSN (0 in memory or on failure). It does not fsync, so it is cheap
+// under a shard lock: before sending a response that reports the record,
+// or any record logged before it, the caller passes the LSN of its last
+// record to syncLog. An append failure (disk full, I/O error) is logged
+// loudly and serving continues: availability wins, and safety survives
+// the degradation — the next restart's epoch bump dominates any token
+// whose grant record was lost.
+func (s *Server) logAppend(rec *durable.Record) uint64 {
 	if s.store == nil {
+		return 0
+	}
+	lsn, err := s.store.Log(rec)
+	if err != nil {
+		s.cfg.Logf("WAL append failed (durability degraded): %v", err)
+	}
+	return lsn
+}
+
+// syncLog makes every WAL record up to lsn durable per the fsync policy
+// — one group-commit fsync under "always" — before the caller sends a
+// response. Callers hold no shard lock, and the store runs the fsync
+// outside its own. A failure is logged like an append failure.
+func (s *Server) syncLog(lsn uint64) {
+	if lsn == 0 {
 		return
 	}
-	if err := s.store.Append(rec); err != nil {
-		s.cfg.Logf("WAL append failed (durability degraded): %v", err)
+	if err := s.store.Sync(lsn); err != nil {
+		s.cfg.Logf("WAL sync failed (durability degraded): %v", err)
 	}
 }
 
@@ -403,8 +422,8 @@ func (s *Server) handleConn(c net.Conn) {
 					if ok, logRenew := prev.renew(now); ok {
 						sess = prev
 						if logRenew {
-							s.logAppend(&durable.Record{Type: durable.RecRenew,
-								Session: sess.id, Expiry: sess.expiryUnixNano()})
+							s.syncLog(s.logAppend(&durable.Record{Type: durable.RecRenew,
+								Session: sess.id, Expiry: sess.expiryUnixNano()}))
 						}
 						w.send(&wire.Response{Seq: req.Seq, OK: true, Session: sess.id,
 							TTLMS: sess.ttl.Milliseconds(), Resumed: true,
@@ -418,8 +437,8 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			ttl := s.clampTTL(req.TTLMS)
 			sess = s.sessions.create(ttl, now)
-			s.logAppend(&durable.Record{Type: durable.RecHello, Session: sess.id,
-				Slot: sess.slot, TTLMS: ttl.Milliseconds(), Expiry: sess.expiryUnixNano()})
+			s.syncLog(s.logAppend(&durable.Record{Type: durable.RecHello, Session: sess.id,
+				Slot: sess.slot, TTLMS: ttl.Milliseconds(), Expiry: sess.expiryUnixNano()}))
 			w.send(&wire.Response{Seq: req.Seq, OK: true, Session: sess.id,
 				TTLMS: ttl.Milliseconds(), Epoch: s.epoch.Load()})
 			continue
@@ -463,7 +482,11 @@ func (s *Server) handleConn(c net.Conn) {
 }
 
 // dispatch executes one deduplicated request and sends+caches the
-// response.
+// response. An acquire or release response is logged and synced before it
+// enters the at-most-once cache, so neither the reply nor a retransmit's
+// cached copy reaches the client before its grant record is durable; the
+// response record's LSN is above every record the operation logged, so
+// one sync covers them all.
 func (s *Server) dispatch(sess *session, req *wire.Request, w *connWriter) {
 	var resp *wire.Response
 	switch req.Op {
@@ -481,17 +504,17 @@ func (s *Server) dispatch(sess *session, req *wire.Request, w *connWriter) {
 	default:
 		resp = &wire.Response{Seq: req.Seq, Code: wire.CodeBadRequest, Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
-	sess.finish(req.Seq, resp)
 	// Only acquire/release responses are made durable: they carry effects
 	// (grants, fencing tokens) that at-most-once must preserve across a
 	// restart. Heartbeats and stats are idempotent, and logging them would
 	// swamp the WAL.
 	if req.Op == wire.OpAcquire || req.Op == wire.OpRelease {
 		if b, err := json.Marshal(resp); err == nil {
-			s.logAppend(&durable.Record{Type: durable.RecResp,
-				Session: sess.id, Seq: req.Seq, Resp: b})
+			s.syncLog(s.logAppend(&durable.Record{Type: durable.RecResp,
+				Session: sess.id, Seq: req.Seq, Resp: b}))
 		}
 	}
+	sess.finish(req.Seq, resp)
 	w.send(resp)
 }
 
@@ -553,7 +576,7 @@ func (s *Server) finishBye(sess *session, seq uint64, w *connWriter) {
 		}
 	}
 	s.sessions.remove(sess)
-	s.logAppend(&durable.Record{Type: durable.RecBye, Session: sess.id})
+	s.syncLog(s.logAppend(&durable.Record{Type: durable.RecBye, Session: sess.id}))
 	w.send(&wire.Response{Seq: seq, OK: true})
 }
 

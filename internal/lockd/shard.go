@@ -149,7 +149,9 @@ func (sh *shard) restore(ss *durable.ShardState) {
 	sh.stats.fencedWrite = c.FencedWrite
 }
 
-// logAppend forwards one WAL record to the server's durable store.
+// logAppend writes one WAL record to the server's durable store. It
+// costs one write and no fsync, so it runs under mu: the response that
+// reports the operation is synced after mu is released (Server.dispatch).
 func (sh *shard) logAppend(rec *durable.Record) { sh.srv.logAppend(rec) }
 
 // lockStateLocked returns (creating if needed) the grant table for key.
@@ -190,9 +192,11 @@ func grantableLocked(ls *lockState, mode string) bool {
 
 // grantLocked installs sess as a holder and returns the passage token,
 // folded with the server epoch (tokens from before a restart are strictly
-// dominated). Write grants advance the key's fencing counter and are
-// WAL-logged before the caller can send the response, so a token a client
-// observed always corresponds to a logged grant (per the fsync policy).
+// dominated). Write grants advance the key's fencing counter. Every grant
+// is written to the WAL here, and the response carrying the token is
+// sent only after a sync covering its later response record, so a token a
+// client observed always corresponds to a logged grant (per the fsync
+// policy).
 //
 //rwguard:holds mu
 func (sh *shard) grantLocked(ls *lockState, sess *session, mode string) uint64 {

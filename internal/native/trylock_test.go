@@ -124,8 +124,10 @@ func TestTryLockUncontended(t *testing.T) {
 }
 
 // TestTryLockTimesOutAgainstHolder pins the failure path: with the
-// opposite class parked in the CS, a bounded TryLock must return false in
-// roughly the requested time instead of blocking.
+// opposite class parked in the CS, a bounded TryLock must return false
+// instead of blocking. The property is causal, not a wall-clock bound: the
+// holder releases only after both attempts have returned, so an attempt
+// that waits on the holder never returns and the test times out.
 func TestTryLockTimesOutAgainstHolder(t *testing.T) {
 	lock, err := NewLock(core.New(core.FOne), 2, 2)
 	if err != nil {
@@ -133,15 +135,11 @@ func TestTryLockTimesOutAgainstHolder(t *testing.T) {
 	}
 	w := lock.Writer(0)
 	w.Lock()
-	start := time.Now()
 	if lock.Reader(0).TryLock(10 * time.Millisecond) {
 		t.Fatal("reader TryLock succeeded while a writer held the lock")
 	}
 	if lock.Writer(1).TryLock(10 * time.Millisecond) {
 		t.Fatal("writer TryLock succeeded while another writer held the lock")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("bounded TryLocks took %v", elapsed)
 	}
 	w.Unlock()
 	// The aborted attempts must not have corrupted the lock.

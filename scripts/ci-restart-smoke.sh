@@ -5,8 +5,10 @@
 # passage ledger (zero duplicated, zero lost write passages) and strictly
 # increasing server epochs across every restart.
 # Phase 2: explicit kill -9 / restart on one data dir through the real
-# binary: the restarted server must come back on the same directory with
-# a strictly larger epoch and serve another clean ledger run.
+# binary, under -fsync always (group commit: every response waits for a
+# covering fsync): the restarted server must come back on the same
+# directory with a strictly larger epoch and serve another clean ledger
+# run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,7 +58,7 @@ data="$work/data2"
 start_server() {
     local log="$1"
     "$work/rwlockd" -addr "$addr2" -ttl 500ms -quiet \
-        -data-dir "$data" -fsync never >"$log" 2>&1 &
+        -data-dir "$data" -fsync always >"$log" 2>&1 &
     server_pid=$!
     for i in $(seq 1 50); do
         if grep -q "serving epoch" "$log" 2>/dev/null; then return 0; fi
