@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/parwork"
-	"repro/internal/sim"
 )
 
 // ParallelFlag registers the shared -parallel flag. The returned apply
@@ -84,16 +83,4 @@ func ParseSeeds(s string) ([]int64, error) {
 		return nil, fmt.Errorf("empty seed list %q", s)
 	}
 	return out, nil
-}
-
-// ParseProtocol maps "wt"/"wb" (or long names) to a protocol.
-func ParseProtocol(s string) (sim.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "wt", "write-through", "writethrough":
-		return sim.WriteThrough, nil
-	case "wb", "write-back", "writeback":
-		return sim.WriteBack, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q (want wt or wb)", s)
-	}
 }

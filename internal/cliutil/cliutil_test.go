@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/parwork"
-	"repro/internal/sim"
 )
 
 func TestParseInts(t *testing.T) {
@@ -41,22 +40,6 @@ func TestParseSeeds(t *testing.T) {
 	}
 	if _, err := ParseSeeds(""); err == nil {
 		t.Error("empty seeds accepted")
-	}
-}
-
-func TestParseProtocol(t *testing.T) {
-	for _, s := range []string{"wt", "write-through", "WriteThrough"} {
-		if p, err := ParseProtocol(s); err != nil || p != sim.WriteThrough {
-			t.Errorf("ParseProtocol(%q) = %v, %v", s, p, err)
-		}
-	}
-	for _, s := range []string{"wb", "write-back"} {
-		if p, err := ParseProtocol(s); err != nil || p != sim.WriteBack {
-			t.Errorf("ParseProtocol(%q) = %v, %v", s, p, err)
-		}
-	}
-	if _, err := ParseProtocol("bogus"); err == nil {
-		t.Error("bogus protocol accepted")
 	}
 }
 

@@ -47,8 +47,8 @@ func TestAlgorithmPackageScope(t *testing.T) {
 		"repro/internal/spec",
 		"repro/internal/explore",
 		// The lock service is real concurrency by design: goroutines, sync,
-		// TCP. Its native.Backend use (per-shard passage counters) happens
-		// under a conventional mutex, not the simulated discipline.
+		// TCP. Its per-shard passage counters are plain words under a
+		// conventional mutex, not simulated memory.
 		"repro/internal/lockd",
 		"repro/internal/lockd/wire",
 		// Durability layer: WAL framing, snapshots, fsync goroutines — all

@@ -10,7 +10,6 @@ import (
 	"repro/internal/lockd/durable"
 	"repro/internal/lockd/wire"
 	"repro/internal/memmodel"
-	"repro/internal/native"
 	"repro/internal/trace"
 )
 
@@ -60,13 +59,11 @@ type grantResult struct {
 // lockState is one named lock's grant table.
 type lockState struct {
 	key string
-	// word is the lock's passage counter on the shard's native backend;
-	// write grants FetchAdd it, so every write passage carries a fencing
-	// token unique for the key (words are assigned by key hash and may be
-	// shared between keys, which preserves per-key uniqueness). wordIdx
-	// is the word's index in the shard arena, recorded in WAL grant
-	// records so replay can restore the counter.
-	word    memmodel.Var
+	// wordIdx indexes the lock's passage counter in shard.words; write
+	// grants increment it, so every write passage carries a fencing token
+	// unique for the key (words are assigned by key hash and may be shared
+	// between keys, which preserves per-key uniqueness). It is recorded in
+	// WAL grant records so replay can restore the counter.
 	wordIdx int
 	readers map[*session]struct{} //rwguard:shard.mu
 	writer  *session              //rwguard:shard.mu
@@ -100,10 +97,8 @@ type shardCounters struct {
 	timeouts     uint64
 }
 
-// shard is one lock-namespace partition: a map of named grant tables
-// serialized by one mutex, with the passage counters living on a native
-// memmodel backend so write grants are stamped through the same Proc
-// interface the algorithm packages use.
+// shard is one lock-namespace partition: a map of named grant tables and
+// their passage counters, serialized by one mutex.
 type shard struct {
 	srv *Server
 	idx int
@@ -111,20 +106,15 @@ type shard struct {
 	mu    sync.Mutex
 	locks map[string]*lockState //rwguard:mu
 	stats shardCounters         //rwguard:mu
-	proc  memmodel.Proc         //rwguard:mu single proc, serialized by the shard lock
-	words []memmodel.Var
+	words []uint64              //rwguard:mu
 }
 
 func newShard(srv *Server, idx, nWords int) *shard {
-	b := native.NewBackend()
-	words := b.AllocN(fmt.Sprintf("shard%d.passage", idx), nWords, 0)
-	b.Seal()
 	return &shard{
 		srv:   srv,
 		idx:   idx,
 		locks: map[string]*lockState{},
-		proc:  b.Proc(0),
-		words: words,
+		words: make([]uint64, nWords),
 	}
 }
 
@@ -136,7 +126,7 @@ func (sh *shard) restore(ss *durable.ShardState) {
 	defer sh.mu.Unlock()
 	for i, v := range ss.Words {
 		if i < len(sh.words) && v > 0 {
-			sh.proc.Write(sh.words[i], v)
+			sh.words[i] = v
 		}
 	}
 	c := ss.Counters
@@ -165,7 +155,6 @@ func (sh *shard) lockStateLocked(key string) *lockState {
 		wordIdx := int(h.Sum32()) % len(sh.words)
 		ls = &lockState{
 			key:     key,
-			word:    sh.words[wordIdx],
 			wordIdx: wordIdx,
 			readers: map[*session]struct{}{},
 			mon:     fairness.NewLockedBypassMonitor(monReaderSlots+monWriterSlots, monReaderSlots),
@@ -204,11 +193,12 @@ func (sh *shard) grantLocked(ls *lockState, sess *session, mode string) uint64 {
 	if mode == wire.ModeWrite {
 		ls.writer = sess
 		sh.stats.writeGrants++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.proc.FetchAdd(ls.word, 1)+1)
+		sh.words[ls.wordIdx]++
+		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
 	} else {
 		ls.readers[sess] = struct{}{}
 		sh.stats.readGrants++
-		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.proc.Read(ls.word))
+		tok = durable.MakeToken(sh.srv.epoch.Load(), sh.words[ls.wordIdx])
 	}
 	sh.logAppend(&durable.Record{Type: durable.RecGrant, Session: sess.id,
 		Key: ls.key, Mode: mode, Shard: sh.idx, Word: ls.wordIdx, Token: tok})
