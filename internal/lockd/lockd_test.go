@@ -435,12 +435,7 @@ func TestAtMostOnceDedup(t *testing.T) {
 	if !retrans.OK || retrans.Passage != first.Passage {
 		t.Fatalf("retransmit got %+v, want the original grant %+v", retrans, first)
 	}
-	st := srv.Stats()
-	var grants uint64
-	for _, sh := range st.Shards {
-		grants += sh.WriteGrants
-	}
-	if grants != 1 {
+	if grants := sumWriteGrants(srv.Stats()); grants != 1 {
 		t.Fatalf("write grants = %d after retransmit, want 1 (at-most-once)", grants)
 	}
 }
@@ -485,6 +480,14 @@ func sumRevoked(st wire.Stats) uint64 {
 	var n uint64
 	for _, sh := range st.Shards {
 		n += sh.Revoked
+	}
+	return n
+}
+
+func sumWriteGrants(st wire.Stats) uint64 {
+	var n uint64
+	for _, sh := range st.Shards {
+		n += sh.WriteGrants
 	}
 	return n
 }

@@ -1,7 +1,9 @@
 package lockd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/lockd/durable"
+	"repro/internal/lockd/wire"
 )
 
 // fsyncPolicies are the WAL policies the restart tests run under: "never"
@@ -219,6 +222,59 @@ func TestResumeContinuesSeqNumbering(t *testing.T) {
 	}
 	if err := h.Release(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAtMostOnceAcrossRestart: a response cached before a kill -9 is
+// restored from the WAL, so a retransmit after the restart is answered
+// from the cache — the original passage token, and no second grant.
+func TestAtMostOnceAcrossRestart(t *testing.T) {
+	for _, fsync := range fsyncPolicies {
+		t.Run(fsync, func(t *testing.T) { atMostOnceAcrossRestart(t, fsync) })
+	}
+}
+
+func atMostOnceAcrossRestart(t *testing.T, fsync string) {
+	dir := t.TempDir()
+	srv := startDurable(t, "127.0.0.1:0", dir, fsync)
+	addr := srv.Addr().String()
+
+	conn := rawDial(t, srv)
+	hello := conn.roundTrip(t, &wire.Request{Seq: 1, Op: wire.OpHello, TTLMS: 30_000})
+	if !hello.OK {
+		t.Fatalf("hello: %+v", hello)
+	}
+	acquire := &wire.Request{Seq: 2, Op: wire.OpAcquire, Key: "k", Mode: wire.ModeWrite, WaitMS: 1000}
+	first := conn.roundTrip(t, acquire)
+	if !first.OK || first.Passage == 0 {
+		t.Fatalf("acquire: %+v", first)
+	}
+
+	srv.Crash()
+	srv2 := startDurable(t, addr, dir, fsync)
+	defer srv2.Close()
+	grants := sumWriteGrants(srv2.Stats())
+	// The replayed response record holds the bytes the socket carried
+	// (minus the newline), which are json.Marshal's.
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := srv2.store.State().Sessions[hello.Session].Resps; len(rs) != 1 || !bytes.Equal(rs[0].Resp, want) {
+		t.Fatalf("replayed response cache %+v, want one entry %s", rs, want)
+	}
+
+	conn2 := rawDial(t, srv2)
+	resumed := conn2.roundTrip(t, &wire.Request{Seq: 1, Op: wire.OpHello, Session: hello.Session})
+	if !resumed.OK || !resumed.Resumed || resumed.MaxSeq < acquire.Seq {
+		t.Fatalf("resume hello: %+v, want a resumed session with max_seq >= %d", resumed, acquire.Seq)
+	}
+	retrans := conn2.roundTrip(t, acquire)
+	if !retrans.OK || retrans.Passage != first.Passage {
+		t.Fatalf("retransmit after restart got %+v, want the original grant %+v", retrans, first)
+	}
+	if got := sumWriteGrants(srv2.Stats()); got != grants {
+		t.Fatalf("write grants went %d -> %d on the retransmit, want no new grant", grants, got)
 	}
 }
 

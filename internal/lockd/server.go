@@ -9,7 +9,6 @@
 package lockd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -367,6 +366,7 @@ type connWriter struct {
 	buf []byte //rwguard:mu
 }
 
+// send encodes resp into the connection's buffer and writes it.
 func (w *connWriter) send(resp *wire.Response) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -375,10 +375,21 @@ func (w *connWriter) send(resp *wire.Response) {
 		return
 	}
 	w.buf = buf[:0]
+	w.writeLocked(buf)
+}
+
+// write writes line, a response wire.Append already encoded.
+func (w *connWriter) write(line []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writeLocked(line)
+}
+
+func (w *connWriter) writeLocked(line []byte) {
 	// Bound the write so a wedged peer cannot pin response goroutines
 	// forever; on timeout the conn is killed and the client reconnects.
 	w.c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if _, err := w.c.Write(buf); err != nil {
+	if _, err := w.c.Write(line); err != nil {
 		w.c.Close()
 	}
 }
@@ -486,6 +497,13 @@ func (s *Server) handleConn(c net.Conn) {
 // cached copy reaches the client before its grant record is durable; the
 // response record's LSN is above every record the operation logged, so
 // one sync covers them all.
+//
+// Each response is encoded once per send. An in-memory server encodes it
+// only for the socket. A durable server encodes an acquire or release
+// response into a fresh buffer, logs that line minus its newline as the
+// RecResp payload, and writes the same buffer to the socket; the buffer
+// is never reused, because the WAL's shadow state keeps the payload in
+// its response cache.
 func (s *Server) dispatch(sess *session, req *wire.Request, w *connWriter) {
 	var resp *wire.Response
 	switch req.Op {
@@ -507,14 +525,20 @@ func (s *Server) dispatch(sess *session, req *wire.Request, w *connWriter) {
 	// (grants, fencing tokens) that at-most-once must preserve across a
 	// restart. Heartbeats and stats are idempotent, and logging them would
 	// swamp the WAL.
-	if req.Op == wire.OpAcquire || req.Op == wire.OpRelease {
-		if b, err := json.Marshal(resp); err == nil {
+	var line []byte
+	if s.store != nil && (req.Op == wire.OpAcquire || req.Op == wire.OpRelease) {
+		if b, err := wire.Append(nil, resp); err == nil {
+			line = b
 			s.syncLog(s.logAppend(&durable.Record{Type: durable.RecResp,
-				Session: sess.id, Seq: req.Seq, Resp: b}))
+				Session: sess.id, Seq: req.Seq, Resp: b[: len(b)-1 : len(b)-1]}))
 		}
 	}
 	sess.finish(req.Seq, resp)
-	w.send(resp)
+	if line != nil {
+		w.write(line)
+	} else {
+		w.send(resp)
+	}
 }
 
 func validKeyMode(req *wire.Request) error {

@@ -3,7 +3,6 @@ package lockd
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -267,11 +266,11 @@ func (t *sessionTable) restore(st *durable.State) {
 		}
 		s.durableExpiry = s.expiry
 		for _, cr := range ss.Resps {
-			var resp wire.Response
-			if err := json.Unmarshal(cr.Resp, &resp); err != nil {
+			resp, err := wire.DecodeResponse(cr.Resp)
+			if err != nil {
 				continue // an unreadable cached response degrades to re-execution
 			}
-			s.responses[cr.Seq] = &resp
+			s.responses[cr.Seq] = resp
 			s.order = append(s.order, cr.Seq)
 		}
 		t.byID[id] = s

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -83,6 +85,42 @@ func FuzzDecodeResponse(f *testing.F) {
 		if resp2.Seq != resp.Seq || resp2.OK != resp.OK || resp2.Code != resp.Code ||
 			resp2.Passage != resp.Passage || resp2.Epoch != resp.Epoch || resp2.MaxSeq != resp.MaxSeq {
 			t.Fatalf("round trip mismatch: %+v vs %+v", resp, resp2)
+		}
+	})
+}
+
+// FuzzCodecMatchesJSON is the differential check against encoding/json:
+// every line the decoder accepts, json.Unmarshal accepts to an equal
+// value (unless a key matches a field only case-insensitively, encoding/
+// json's key folding, which the codec does not reproduce), and every
+// decoded value re-encodes to json.Marshal's bytes. The input also seeds
+// the string fields of a request and a response, whose encoding must
+// equal json.Marshal's for arbitrary bytes.
+func FuzzCodecMatchesJSON(f *testing.F) {
+	f.Add([]byte(`{"seq":2,"op":"acquire","key":"k","mode":"w","wait_ms":100}`))
+	f.Add([]byte(`{"seq":3,"ok":true,"resumed":true,"max_seq":17,"passage":9}`))
+	f.Add([]byte(`{"ok":true,"stats":{"draining":true,"shards":[{"locks":2}]},"stats":null}`))
+	f.Add([]byte(`{"OP":"hello","op":"bye","Seq":1,"ſeq":2,"x":[{"y":null}]}`))
+	f.Add([]byte(`{"op":"😀\ud800<&>","key":" \u0000"}`))
+	f.Add([]byte("{\"op\":\"a\xff\",\"key\":\"\xe2\x80\xa8\"}"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkDecode(t, b)
+		s := string(b)
+		for _, m := range []any{
+			&Request{Seq: uint64(len(b)), Op: s, Key: s, Mode: s, Session: s},
+			&Response{Seq: uint64(len(b)), Code: s, Err: s, Session: s},
+		} {
+			want, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Append(nil, m)
+			if len(want)+1 > MaxLine {
+				continue
+			}
+			if err != nil || !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("Append(%+v) = %q (%v), want %q", m, got, err, want)
+			}
 		}
 	})
 }

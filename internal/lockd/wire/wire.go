@@ -12,11 +12,24 @@
 // instead of re-executing the operation. Acquire/release are therefore
 // at-most-once: a retried acquire whose original response was lost returns
 // the original grant (same passage token), never a second grant.
+//
+// Codec: Append and the Decode functions are a hand-written codec for the
+// two flat message types, with no encoding/json reflection on the request
+// path. Append emits exactly the bytes json.Marshal would: same field
+// order, omitempty, and string escaping (<, > and & as \u003c-style
+// escapes, U+2028/U+2029 escaped, invalid UTF-8 as \ufffd). A line the
+// decoders accept, json.Unmarshal accepts to an equal value, with one
+// deliberate exception: keys match field names exactly as written, while
+// encoding/json also matches them case-insensitively. As in encoding/json,
+// a key that names no field has its value validated and skipped. Op, mode
+// and code strings are interned to the package constants. Only the nested
+// Stats object, which only OpStats responses carry, still goes through
+// encoding/json.
 package wire
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -157,20 +170,38 @@ type ShardStats struct {
 // protocol violation and kills the connection.
 const MaxLine = 1 << 20
 
-// Append marshals msg and appends it plus the newline terminator to buf,
-// returning the extended buffer. Callers hand the result to a single
-// Write so every message is one write call (the chaos layer depends on
-// this framing).
+// Append encodes msg, which must be a *Request or a *Response, and
+// appends it plus the newline terminator to buf, returning the extended
+// buffer. The bytes are exactly what json.Marshal produces for msg.
+// Callers hand the result to a single Write so every message is one write
+// call (the chaos layer depends on this framing). On error buf is
+// returned with its original length.
 func Append(buf []byte, msg any) ([]byte, error) {
-	b, err := json.Marshal(msg)
-	if err != nil {
-		return buf, err
+	n := len(buf)
+	switch m := msg.(type) {
+	case *Request:
+		if m == nil {
+			return buf, errNilMessage
+		}
+		buf = m.appendJSON(buf)
+	case *Response:
+		if m == nil {
+			return buf, errNilMessage
+		}
+		var err error
+		if buf, err = m.appendJSON(buf); err != nil {
+			return buf[:n], err
+		}
+	default:
+		return buf, fmt.Errorf("wire: cannot encode %T", msg)
 	}
-	if len(b)+1 > MaxLine {
-		return buf, fmt.Errorf("wire: message exceeds %d bytes", MaxLine)
+	if len(buf)-n+1 > MaxLine {
+		return buf[:n], fmt.Errorf("wire: message exceeds %d bytes", MaxLine)
 	}
-	return append(append(buf, b...), '\n'), nil
+	return append(buf, '\n'), nil
 }
+
+var errNilMessage = errors.New("wire: cannot encode a nil message")
 
 // NewScanner returns a line scanner over r sized for protocol messages.
 func NewScanner(r io.Reader) *bufio.Scanner {
@@ -199,25 +230,77 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // rejected: it cannot be dispatched, and treating it as a zero-value
 // request would silently misparse garbage that happens to be valid JSON.
 func DecodeRequest(b []byte) (*Request, error) {
-	var req Request
-	if err := json.Unmarshal(b, &req); err != nil {
-		return nil, &DecodeError{What: "request", Err: err}
+	req := new(Request)
+	d := decoder{b: b}
+	for d.next() {
+		switch string(d.key) {
+		case "seq":
+			d.uint(&req.Seq)
+		case "op":
+			d.string(&req.Op, opNames)
+		case "key":
+			d.string(&req.Key, nil)
+		case "mode":
+			d.string(&req.Mode, modeNames)
+		case "wait_ms":
+			d.int(&req.WaitMS)
+		case "ttl_ms":
+			d.int(&req.TTLMS)
+		case "session":
+			d.string(&req.Session, nil)
+		case "passage":
+			d.uint(&req.Passage)
+		default:
+			d.skip(memberDepth)
+		}
+	}
+	if d.err != nil {
+		return nil, &DecodeError{What: "request", Err: d.err}
 	}
 	if req.Op == "" {
 		return nil, &DecodeError{What: "request", Err: fmt.Errorf("missing op")}
 	}
-	return &req, nil
+	return req, nil
 }
 
 // DecodeResponse parses one response line. A response with neither OK nor
 // a failure code is rejected for the same reason.
 func DecodeResponse(b []byte) (*Response, error) {
-	var resp Response
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return nil, &DecodeError{What: "response", Err: err}
+	resp := new(Response)
+	d := decoder{b: b}
+	for d.next() {
+		switch string(d.key) {
+		case "seq":
+			d.uint(&resp.Seq)
+		case "ok":
+			d.bool(&resp.OK)
+		case "code":
+			d.string(&resp.Code, codeNames)
+		case "err":
+			d.string(&resp.Err, nil)
+		case "session":
+			d.string(&resp.Session, nil)
+		case "ttl_ms":
+			d.int(&resp.TTLMS)
+		case "resumed":
+			d.bool(&resp.Resumed)
+		case "max_seq":
+			d.uint(&resp.MaxSeq)
+		case "server_epoch":
+			d.uint(&resp.Epoch)
+		case "passage":
+			d.uint(&resp.Passage)
+		case "stats":
+			d.stats(&resp.Stats)
+		default:
+			d.skip(memberDepth)
+		}
+	}
+	if d.err != nil {
+		return nil, &DecodeError{What: "response", Err: d.err}
 	}
 	if !resp.OK && resp.Code == "" {
 		return nil, &DecodeError{What: "response", Err: fmt.Errorf("failure without code")}
 	}
-	return &resp, nil
+	return resp, nil
 }
